@@ -10,8 +10,6 @@
 //!   lines (the deterministic artifact CI checks).
 //! * `BENCH_6.json` — machine-readable summary (p50/p99 per class per
 //!   backend, degrade counts, rejoin verdicts) for the CI job summary.
-//!
-//! `HL_GRAY_OPS` overrides ops per point (CI uses a small value).
 
 use hl_bench::gray::{
     impairment_classes, run_excursion_case, run_gray_point, run_rejoin_case, GrayBackend, GrayCfg,
@@ -20,14 +18,8 @@ use hl_bench::gray::{
 use hl_bench::table::Table;
 
 fn main() {
-    let ops: usize = std::env::var("HL_GRAY_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let cfg = GrayCfg {
-        ops,
-        ..Default::default()
-    };
+    let cfg = GrayCfg::default();
+    let ops = cfg.ops;
     let backends = [GrayBackend::Hyper, GrayBackend::Naive, GrayBackend::Degrade];
     let classes = impairment_classes();
 

@@ -11,8 +11,6 @@
 //!   bystander ratio (exactly 1.0 — the bystander latency vectors are
 //!   byte-identical to the control, and the ratio is computed from the
 //!   two vectors).
-//!
-//! `HL_MIGRATION_OPS` overrides ops per run (CI uses a small value).
 
 use hl_bench::migration::{
     check_oracle, p99_ns, run_migration_campaign, split_window, verdict, MigrationCfg,
@@ -20,14 +18,7 @@ use hl_bench::migration::{
 use hl_bench::table::Table;
 
 fn main() {
-    let ops: usize = std::env::var("HL_MIGRATION_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
-    let cfg = MigrationCfg {
-        ops,
-        ..Default::default()
-    };
+    let cfg = MigrationCfg::default();
 
     let mig = run_migration_campaign(&cfg, true);
     let control = run_migration_campaign(&cfg, false);

@@ -204,8 +204,6 @@ pub fn run_migration_campaign(cfg: &MigrationCfg, do_split: bool) -> MigrationRu
                     },
                     MigrationSpec {
                         policy: retry_policy(),
-                        ring_slots: 64,
-                        chunk: 64 * 1024,
                     },
                     w,
                     eng,

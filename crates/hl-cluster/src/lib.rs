@@ -234,6 +234,8 @@ pub struct World {
     /// `Vec` per poll. Taken out of the world during the drain, so a
     /// reentrant drain simply grows a transient empty `Vec`.
     cqe_scratch: Vec<Cqe>,
+    /// Catch-up copies started so far; names each copy's QP regions.
+    catch_ups: u32,
 }
 
 /// High-frequency datapath events, dispatched through the engine's
@@ -459,6 +461,12 @@ impl World {
         self.hosts[host.0].nic.arm_cq(cq);
         let cb: CqCallback = Box::new(f);
         self.cq_subs.insert((host.0, cq), CqSub::Callback(cb));
+    }
+
+    /// A fresh id for one catch-up copy, unique within this world.
+    pub fn next_catch_up_id(&mut self) -> u32 {
+        self.catch_ups += 1;
+        self.catch_ups - 1
     }
 
     /// Ring a doorbell from outside a process (drivers).
@@ -714,6 +722,7 @@ impl ClusterBuilder {
             timer_tokens: BTreeMap::new(),
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
+            catch_ups: 0,
         };
         (world, Engine::new())
     }

@@ -26,12 +26,15 @@
 //! that time out mid-reconfiguration simply re-issue on the new chain.
 
 use crate::api::GroupClient;
-use crate::group::{Backpressure, OnDone, OpResult};
+use crate::group::{Backpressure, GroupConfig, OnDone, OpResult};
 use crate::naive::NaiveClient;
 use crate::HyperLoopClient;
 use hl_cluster::World;
+use hl_fabric::HostId;
+use hl_nvm::Region;
 use hl_sim::{Bytes, Engine, SimDuration, SimTime};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// The replication engine a [`RetryClient`] currently drives: the
@@ -55,19 +58,55 @@ impl Backend {
         matches!(self, Backend::Hyper(_))
     }
 
-    /// The HyperLoop client, if this backend is offloaded.
-    pub fn as_hyper(&self) -> Option<&HyperLoopClient> {
+    /// The serving client behind the shared [`GroupClient`] surface.
+    fn group_client(&self) -> &dyn GroupClient {
         match self {
-            Backend::Hyper(c) => Some(c),
-            Backend::Naive(_) => None,
+            Backend::Hyper(c) => c,
+            Backend::Naive(c) => c,
         }
     }
 
-    /// The Naïve client, if this backend is degraded.
-    pub fn as_naive(&self) -> Option<&NaiveClient> {
+    /// The chain head's host and its replicated region: the source of
+    /// truth every reconfiguration copies from.
+    pub fn head(&self) -> (HostId, Region) {
         match self {
-            Backend::Hyper(_) => None,
-            Backend::Naive(c) => Some(c),
+            Backend::Hyper(c) => {
+                let g = c.group().borrow();
+                (g.cfg.client, g.client_rep.clone())
+            }
+            Backend::Naive(c) => {
+                let g = c.group().borrow();
+                (g.cfg.client, g.client_rep.clone())
+            }
+        }
+    }
+
+    /// Stop the chain accepting new operations: issues see
+    /// [`Backpressure`] and supervised ops back off and re-issue on
+    /// whatever backend is installed next.
+    pub fn pause(&self) {
+        match self {
+            Backend::Hyper(c) => c.group().borrow_mut().paused = true,
+            Backend::Naive(c) => c.group().borrow_mut().paused = true,
+        }
+    }
+
+    /// An offloaded-chain config over this chain's members, region size
+    /// and ring depth — the template for a rebuild. A Naïve chain has
+    /// no replenisher or transport knobs, so those take their defaults.
+    pub fn chain_config(&self) -> GroupConfig {
+        match self {
+            Backend::Hyper(c) => c.group().borrow().cfg.clone(),
+            Backend::Naive(c) => {
+                let g = c.group().borrow();
+                GroupConfig {
+                    client: g.cfg.client,
+                    replicas: g.cfg.replicas.clone(),
+                    rep_bytes: g.cfg.rep_bytes,
+                    ring_slots: g.cfg.ring_slots,
+                    ..Default::default()
+                }
+            }
         }
     }
 }
@@ -82,10 +121,8 @@ impl GroupClient for Backend {
         flush: bool,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        match self {
-            Backend::Hyper(c) => c.gwrite(w, eng, offset, data, flush, done),
-            Backend::Naive(c) => c.gwrite(w, eng, offset, data, flush, done),
-        }
+        self.group_client()
+            .gwrite(w, eng, offset, data, flush, done)
     }
     fn gmemcpy(
         &self,
@@ -97,10 +134,8 @@ impl GroupClient for Backend {
         flush: bool,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        match self {
-            Backend::Hyper(c) => c.gmemcpy(w, eng, src_off, dst_off, len, flush, done),
-            Backend::Naive(c) => c.gmemcpy(w, eng, src_off, dst_off, len, flush, done),
-        }
+        self.group_client()
+            .gmemcpy(w, eng, src_off, dst_off, len, flush, done)
     }
     fn gcas(
         &self,
@@ -112,10 +147,8 @@ impl GroupClient for Backend {
         exec_map: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        match self {
-            Backend::Hyper(c) => c.gcas(w, eng, offset, cmp, swp, exec_map, done),
-            Backend::Naive(c) => c.gcas(w, eng, offset, cmp, swp, exec_map, done),
-        }
+        self.group_client()
+            .gcas(w, eng, offset, cmp, swp, exec_map, done)
     }
     fn gflush(
         &self,
@@ -125,28 +158,16 @@ impl GroupClient for Backend {
         len: u32,
         done: OnDone,
     ) -> Result<u32, Backpressure> {
-        match self {
-            Backend::Hyper(c) => c.gflush(w, eng, offset, len, done),
-            Backend::Naive(c) => c.gflush(w, eng, offset, len, done),
-        }
+        self.group_client().gflush(w, eng, offset, len, done)
     }
     fn group_size(&self) -> usize {
-        match self {
-            Backend::Hyper(c) => GroupClient::group_size(c),
-            Backend::Naive(c) => GroupClient::group_size(c),
-        }
+        self.group_client().group_size()
     }
     fn member_addr(&self, m: usize, offset: u64) -> u64 {
-        match self {
-            Backend::Hyper(c) => GroupClient::member_addr(c, m, offset),
-            Backend::Naive(c) => GroupClient::member_addr(c, m, offset),
-        }
+        self.group_client().member_addr(m, offset)
     }
-    fn member_host(&self, m: usize) -> hl_fabric::HostId {
-        match self {
-            Backend::Hyper(c) => GroupClient::member_host(c, m),
-            Backend::Naive(c) => GroupClient::member_host(c, m),
-        }
+    fn member_host(&self, m: usize) -> HostId {
+        self.group_client().member_host(m)
     }
 }
 
@@ -301,11 +322,23 @@ struct IssueState {
     failures: Rc<RefCell<Vec<OpError>>>,
     stats: Rc<RefCell<RetryStats>>,
     probe: Rc<RefCell<Option<ProbeState>>>,
+    reconfig: Rc<RefCell<Reconfig>>,
 }
 
-/// Shared dirty-range log: `Some` while a cutover is recording
-/// `(offset, len)` ranges mutated at issue time.
-type DirtyLog = Rc<RefCell<Option<Vec<(u64, u32)>>>>;
+/// A queued reconfiguration, run when the lease is granted to it.
+pub(crate) type Granted = Box<dyn FnOnce(&mut World, &mut Engine<World>)>;
+
+/// Reconfiguration state shared by every clone of a [`RetryClient`]:
+/// the lease that serialises reconfigurations of the chain, the
+/// requests waiting for it in arrival order, and the holder's
+/// dirty-range log (`Some` while it records the `(offset, len)` ranges
+/// mutated at issue time).
+#[derive(Default)]
+struct Reconfig {
+    held: bool,
+    waiting: VecDeque<Granted>,
+    dirty: Option<Vec<(u64, u32)>>,
+}
 
 /// Deadline-supervising wrapper around a replication [`Backend`].
 ///
@@ -319,7 +352,7 @@ pub struct RetryClient {
     failures: Rc<RefCell<Vec<OpError>>>,
     stats: Rc<RefCell<RetryStats>>,
     probe: Rc<RefCell<Option<ProbeState>>>,
-    dirty: DirtyLog,
+    reconfig: Rc<RefCell<Reconfig>>,
 }
 
 impl RetryClient {
@@ -343,7 +376,7 @@ impl RetryClient {
             failures: Rc::new(RefCell::new(Vec::new())),
             stats: Rc::new(RefCell::new(RetryStats::default())),
             probe: Rc::new(RefCell::new(None)),
-            dirty: Rc::new(RefCell::new(None)),
+            reconfig: Rc::default(),
         }
     }
 
@@ -419,29 +452,62 @@ impl RetryClient {
         *self.probe.borrow_mut() = None;
     }
 
+    /// True while a reconfiguration (cutover, rejoin, degrade, split or
+    /// merge) holds this chain's lease.
+    pub fn reconfiguring(&self) -> bool {
+        self.reconfig.borrow().held
+    }
+
+    /// Take the reconfiguration lease: run `granted` now if it is free,
+    /// else once every earlier request has released it (FIFO).
+    pub(crate) fn acquire(&self, w: &mut World, eng: &mut Engine<World>, granted: Granted) {
+        {
+            let mut r = self.reconfig.borrow_mut();
+            if r.held {
+                r.waiting.push_back(granted);
+                return;
+            }
+            r.held = true;
+        }
+        granted(w, eng);
+    }
+
+    /// Hand the lease to the oldest waiting request, or free it.
+    pub(crate) fn release(&self, w: &mut World, eng: &mut Engine<World>) {
+        let next = {
+            let mut r = self.reconfig.borrow_mut();
+            assert!(r.held, "release of a lease nobody holds");
+            let next = r.waiting.pop_front();
+            r.held = next.is_some();
+            next
+        };
+        if let Some(granted) = next {
+            granted(w, eng);
+        }
+    }
+
     /// Start recording the NVM ranges touched by every subsequently
-    /// issued op (live-cutover dirty log). Replaces any prior log.
-    pub fn begin_dirty_log(&self) {
-        *self.dirty.borrow_mut() = Some(Vec::new());
+    /// issued op. Only the lease holder arms the log, so it has one
+    /// reader.
+    pub(crate) fn begin_dirty_log(&self) {
+        let mut r = self.reconfig.borrow_mut();
+        assert!(r.dirty.is_none(), "dirty log already armed");
+        r.dirty = Some(Vec::new());
     }
 
     /// Stop recording and return the dirty ranges as `(offset, len)`
-    /// pairs, in issue order. Empty if logging was never started.
-    pub fn take_dirty_log(&self) -> Vec<(u64, u32)> {
-        self.dirty.borrow_mut().take().unwrap_or_default()
+    /// pairs, in issue order.
+    pub(crate) fn take_dirty_log(&self) -> Vec<(u64, u32)> {
+        self.reconfig
+            .borrow_mut()
+            .dirty
+            .take()
+            .expect("dirty log taken without being armed")
     }
 
     /// Issue `op` under deadline supervision. Exactly one of the `Ok` /
     /// `Err` arms of `done` fires, in bounded time.
     pub fn issue(&self, w: &mut World, eng: &mut Engine<World>, op: GroupOp, done: OnOutcome) {
-        if let Some(log) = self.dirty.borrow_mut().as_mut() {
-            match &op {
-                GroupOp::Write { offset, data, .. } => log.push((*offset, data.len() as u32)),
-                GroupOp::Memcpy { dst_off, len, .. } => log.push((*dst_off, *len)),
-                GroupOp::Cas { offset, .. } => log.push((*offset, 8)),
-                GroupOp::Flush { .. } => {}
-            }
-        }
         *self.outstanding.borrow_mut() += 1;
         let st = Rc::new(RefCell::new(IssueState {
             cell: self.cell.clone(),
@@ -454,6 +520,7 @@ impl RetryClient {
             failures: self.failures.clone(),
             stats: self.stats.clone(),
             probe: self.probe.clone(),
+            reconfig: self.reconfig.clone(),
         }));
         attempt(st, w, eng, 0);
     }
@@ -611,6 +678,17 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
     }
     let (client, op, policy) = {
         let s = st.borrow();
+        // Log every attempt, not just the first: a re-issue of an op
+        // issued before the log was armed still mutates the head region
+        // behind the bulk copy.
+        if let Some(log) = s.reconfig.borrow_mut().dirty.as_mut() {
+            match &s.op {
+                GroupOp::Write { offset, data, .. } => log.push((*offset, data.len() as u32)),
+                GroupOp::Memcpy { dst_off, len, .. } => log.push((*dst_off, *len)),
+                GroupOp::Cas { offset, .. } => log.push((*offset, 8)),
+                GroupOp::Flush { .. } => {}
+            }
+        }
         let client = s.cell.borrow().clone();
         (client, s.op.clone(), s.policy.clone())
     };

@@ -32,15 +32,16 @@
 //! all signals the client can observe without instrumenting the sick
 //! middle of the chain.
 
-use crate::deadline::{Backend, RetryClient, RetryStats};
+use crate::deadline::{RetryClient, RetryStats};
 use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::naive::Mode;
-use crate::recovery::{catch_up, degrade_to_naive, OnRebuilt};
+use crate::reconfig::{lease, members, run, Plan};
+use crate::recovery::{degrade_to_naive, OnRebuilt};
 use crate::slo::SloEngine;
 use crate::HyperLoopClient;
+use hl_cluster::migrate::MigrationStage;
 use hl_cluster::World;
 use hl_fabric::HostId;
-use hl_rnic::Access;
 use hl_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -353,31 +354,40 @@ fn transition_to(
 
 fn start_degrade(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<World>) {
     transition_to(m, w, eng, HealthState::Degrading);
-    let (group, mode, retry) = {
+    let (mode, retry) = {
         let mm = m.borrow();
-        (mm.group.clone(), mm.cfg.naive_mode, mm.retry.clone())
+        (mm.cfg.naive_mode, mm.retry.clone())
     };
     let m = m.clone();
-    degrade_to_naive(
-        &group,
+    lease(
+        vec![retry.clone()],
         w,
         eng,
-        mode,
-        Box::new(move |w, eng, naive| {
-            retry.swap_naive(naive);
-            {
-                let mut mm = m.borrow_mut();
-                mm.degraded_at = eng.now();
-                mm.degrades += 1;
-                mm.sick = 0;
-                mm.healthy = 0;
-            }
-            transition_to(&m, w, eng, HealthState::Degraded);
-            if w.telemetry.enabled() {
-                w.telemetry
-                    .metrics
-                    .counter_add("health_degrades", "layer=health", 1);
-            }
+        Box::new(move |w, eng, lease| {
+            let group = m.borrow().group.clone();
+            degrade_to_naive(
+                &group,
+                w,
+                eng,
+                mode,
+                Box::new(move |w, eng, naive| {
+                    retry.swap_naive(naive);
+                    {
+                        let mut mm = m.borrow_mut();
+                        mm.degraded_at = eng.now();
+                        mm.degrades += 1;
+                        mm.sick = 0;
+                        mm.healthy = 0;
+                    }
+                    transition_to(&m, w, eng, HealthState::Degraded);
+                    if w.telemetry.enabled() {
+                        w.telemetry
+                            .metrics
+                            .counter_add("health_degrades", "layer=health", 1);
+                    }
+                    lease.release(w, eng);
+                }),
+            );
         }),
     );
 }
@@ -386,18 +396,11 @@ fn start_promote(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<
     transition_to(m, w, eng, HealthState::Promoting);
     let (retry, cfg) = {
         let mm = m.borrow();
-        let g = mm.group.borrow();
-        (
-            mm.retry.clone(),
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots: mm.cfg.ring_slots,
-                replenish_period: g.cfg.replenish_period,
-                transport_timeout: g.cfg.transport_timeout,
-            },
-        )
+        let cfg = GroupConfig {
+            ring_slots: mm.cfg.ring_slots,
+            ..mm.group.borrow().cfg.clone()
+        };
+        (mm.retry.clone(), cfg)
     };
     let m = m.clone();
     live_cutover(
@@ -424,33 +427,17 @@ fn start_promote(m: &Rc<RefCell<MonitorInner>>, w: &mut World, eng: &mut Engine<
 }
 
 // ---------------------------------------------------------------------------
-// Live cutover
+// Live cutover and crash-rejoin
 // ---------------------------------------------------------------------------
 
-/// How long the drain phase polls for outstanding supervised ops
-/// before proceeding anyway (under loss, in-flight ops may never reach
-/// zero within any bound; re-issue on the new chain covers them).
-pub(crate) const DRAIN_POLLS: u32 = 20;
-const DRAIN_POLL_PERIOD: SimDuration = SimDuration::from_micros(100);
-
 /// Cut the supervised group over to a freshly built offloaded chain
-/// **without stopping client traffic**:
-///
-/// 1. start dirty-range logging at the [`RetryClient`];
-/// 2. build the new chain and stream the bulk seed to every new
-///    replica with chunked RDMA READs while the old backend keeps
-///    serving;
-/// 3. pause the old backend, drain in-flight ops (bounded — unACKed
-///    survivors re-issue on the new chain and their target ranges are
-///    in the dirty log);
-/// 4. copy only the dirty bounding range as a delta;
-/// 5. swap the new chain's client into the `RetryClient` and hand it
-///    to `done`.
-///
-/// The source of truth throughout is the *client's* copy of the
-/// replicated region: both backends apply every mutation locally at
-/// issue time, so a range written mid-cutover is (a) already current
-/// in the source region and (b) recorded in the dirty log.
+/// configured by `cfg`, **without stopping client traffic**: the new
+/// chain is seeded from the current head's region while the old backend
+/// keeps serving, then the old backend is paused, drained (bounded),
+/// the dirty delta is copied and the new chain's client is swapped into
+/// `retry` and handed to `done`. Runs as a [`crate::reconfig`] plan
+/// under `retry`'s lease, so it waits for any reconfiguration already
+/// running on the chain and then copies from the head that one left.
 pub fn live_cutover(
     retry: &RetryClient,
     cfg: GroupConfig,
@@ -458,210 +445,12 @@ pub fn live_cutover(
     eng: &mut Engine<World>,
     done: OnRebuilt,
 ) {
-    let backend = retry.backend();
-    let (src_host, src_rep) = match &backend {
-        Backend::Hyper(c) => {
-            let g = c.group().borrow();
-            (g.cfg.client, g.client_rep.clone())
-        }
-        Backend::Naive(n) => {
-            let g = n.group().borrow();
-            (g.cfg.client, g.client_rep.clone())
-        }
-    };
-    assert_eq!(src_host, cfg.client, "cutover keeps the coordinator");
-    let rep_bytes = cfg.rep_bytes;
-    retry.begin_dirty_log();
-    let now = eng.now();
-    w.telemetry.mark(now, "cutover:start", src_host.0);
-
-    let new_group = GroupBuilder::new(cfg).build(w);
-
-    // Local seed of the new chain's client region.
-    let new_rep_addr = new_group.borrow().client_rep.addr;
-    let bytes = w
-        .host(src_host)
-        .mem
-        .read_vec(src_rep.addr, rep_bytes as usize)
-        .unwrap();
-    w.host(src_host).mem.write(new_rep_addr, &bytes).unwrap();
-
-    let src_mr = w
-        .host(src_host)
-        .nic
-        .register_mr(src_rep.addr, src_rep.len, Access::REMOTE_READ);
-    let targets: Vec<(HostId, u64)> = {
-        let g = new_group.borrow();
-        (0..g.n_replicas())
-            .map(|i| (g.cfg.replicas[i], g.replica_rep[i].addr))
-            .collect()
-    };
-
-    // Phase 2: bulk streaming seed, old backend still serving.
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let done_cell = Rc::new(RefCell::new(Some(done)));
-    let retry = retry.clone();
-    for (th, taddr) in targets.clone() {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let retry = retry.clone();
-        let backend = backend.clone();
-        let new_group = new_group.clone();
-        let targets = targets.clone();
-        let src_rkey = src_mr.rkey;
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_mr.rkey,
-            src_rep.addr,
-            th,
-            taddr,
-            rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() < total {
-                    return;
-                }
-                // Phase 3: pause the old backend; new issues see
-                // Backpressure and back off until the swap.
-                match &backend {
-                    Backend::Hyper(c) => c.group().borrow_mut().paused = true,
-                    Backend::Naive(n) => n.group().borrow_mut().paused = true,
-                }
-                let now = eng.now();
-                w.telemetry.mark(now, "cutover:pause", src_host.0);
-                let retry2 = retry.clone();
-                drain_then(
-                    retry.clone(),
-                    DRAIN_POLLS,
-                    eng,
-                    Box::new(move |w, eng| {
-                        delta_and_swap(
-                            retry2,
-                            new_group,
-                            targets,
-                            src_host,
-                            src_rkey,
-                            src_rep.addr,
-                            new_rep_addr,
-                            done_cell,
-                            w,
-                            eng,
-                        );
-                    }),
-                );
-            }),
-        );
-    }
+    cutover(retry, w, eng, done, move |_, _| cfg);
 }
-
-pub(crate) type OnDrained = Box<dyn FnOnce(&mut World, &mut Engine<World>)>;
-
-/// Poll until no supervised ops are outstanding, or the poll budget is
-/// spent — then run `then`. Shared with the migration driver, whose
-/// drain phase is the same bounded wait.
-pub(crate) fn drain_then(
-    retry: RetryClient,
-    polls_left: u32,
-    eng: &mut Engine<World>,
-    then: OnDrained,
-) {
-    eng.schedule(DRAIN_POLL_PERIOD, move |w: &mut World, eng| {
-        if retry.outstanding() == 0 || polls_left == 0 {
-            then(w, eng);
-        } else {
-            drain_then(retry, polls_left - 1, eng, then);
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn delta_and_swap(
-    retry: RetryClient,
-    new_group: GroupRef,
-    targets: Vec<(HostId, u64)>,
-    src_host: HostId,
-    src_rkey: u32,
-    src_addr: u64,
-    new_rep_addr: u64,
-    done_cell: Rc<RefCell<Option<OnRebuilt>>>,
-    w: &mut World,
-    eng: &mut Engine<World>,
-) {
-    let dirty = retry.take_dirty_log();
-    let finish = move |w: &mut World, eng: &mut Engine<World>| {
-        crate::replica::start_replenishers(&new_group, w, eng);
-        let client = HyperLoopClient::new(new_group.clone(), w);
-        retry.swap(client.clone());
-        let now = eng.now();
-        w.telemetry.mark(now, "cutover:swap", src_host.0);
-        if let Some(done) = done_cell.borrow_mut().take() {
-            done(w, eng, client);
-        }
-    };
-    if dirty.is_empty() {
-        finish(w, eng);
-        return;
-    }
-    // Phase 4: delta — the bounding range of everything dirtied since
-    // the log was armed (bulk copies may have raced any of it).
-    let lo = dirty.iter().map(|&(o, _)| o).min().unwrap();
-    let hi = dirty.iter().map(|&(o, l)| o + l as u64).max().unwrap();
-    let len = hi - lo;
-    if w.telemetry.enabled() {
-        w.telemetry
-            .metrics
-            .counter_add("cutover_delta_bytes", "layer=health", len);
-    }
-    let bytes = w
-        .host(src_host)
-        .mem
-        .read_vec(src_addr + lo, len as usize)
-        .unwrap();
-    w.host(src_host)
-        .mem
-        .write(new_rep_addr + lo, &bytes)
-        .unwrap();
-
-    let total = targets.len();
-    let finished = Rc::new(RefCell::new(0usize));
-    let finish_cell = Rc::new(RefCell::new(Some(finish)));
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let finish_cell = finish_cell.clone();
-        catch_up(
-            w,
-            eng,
-            src_host,
-            src_rkey,
-            src_addr + lo,
-            th,
-            taddr + lo,
-            len,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    if let Some(finish) = finish_cell.borrow_mut().take() {
-                        finish(w, eng);
-                    }
-                }
-            }),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Crash-rejoin under live traffic
-// ---------------------------------------------------------------------------
 
 /// Re-admit a healed host into the supervised group without stopping
-/// client traffic: a fresh offloaded chain is built over the current
-/// membership *plus* `new_member`, seeded with streaming catch-up while
-/// the serving chain keeps ACKing, and swapped in via [`live_cutover`].
+/// client traffic: a fresh offloaded chain over the current membership
+/// *plus* `new_member` is built and swapped in by a live cutover.
 pub fn rejoin_member(
     retry: &RetryClient,
     new_member: HostId,
@@ -670,41 +459,72 @@ pub fn rejoin_member(
     eng: &mut Engine<World>,
     done: OnRebuilt,
 ) {
-    let backend = retry.backend();
-    let mut cfg = match &backend {
-        Backend::Hyper(c) => {
-            let g = c.group().borrow();
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots,
-                replenish_period: g.cfg.replenish_period,
-                transport_timeout: g.cfg.transport_timeout,
-            }
+    let r = retry.clone();
+    let cfg = move |w: &mut World, eng: &mut Engine<World>| {
+        let mut cfg = GroupConfig {
+            ring_slots,
+            ..r.backend().chain_config()
+        };
+        assert!(
+            !cfg.replicas.contains(&new_member) && cfg.client != new_member,
+            "rejoining host must not already be a member"
+        );
+        cfg.replicas.push(new_member);
+        let now = eng.now();
+        w.telemetry.mark(now, "rejoin:start", new_member.0);
+        if w.telemetry.enabled() {
+            w.telemetry
+                .metrics
+                .counter_add("health_rejoins", "layer=health", 1);
         }
-        Backend::Naive(n) => {
-            let g = n.group().borrow();
-            GroupConfig {
-                client: g.cfg.client,
-                replicas: g.cfg.replicas.clone(),
-                rep_bytes: g.cfg.rep_bytes,
-                ring_slots,
-                ..Default::default()
-            }
-        }
+        cfg
     };
-    assert!(
-        !cfg.replicas.contains(&new_member) && cfg.client != new_member,
-        "rejoining host must not already be a member"
+    cutover(retry, w, eng, done, cfg);
+}
+
+/// Under `retry`'s lease, build a chain from the config `cfg` returns
+/// and run the cutover plan onto it.
+fn cutover(
+    retry: &RetryClient,
+    w: &mut World,
+    eng: &mut Engine<World>,
+    done: OnRebuilt,
+    cfg: impl FnOnce(&mut World, &mut Engine<World>) -> GroupConfig + 'static,
+) {
+    let retry = retry.clone();
+    lease(
+        vec![retry.clone()],
+        w,
+        eng,
+        Box::new(move |w, eng, lease| {
+            let cfg = cfg(w, eng);
+            let old = retry.backend();
+            let (host, region) = old.head();
+            assert_eq!(host, cfg.client, "cutover keeps the coordinator");
+            let group = GroupBuilder::new(cfg).build(w);
+            let client = HyperLoopClient::new(group.clone(), w);
+            let swap = retry.clone();
+            let plan = Plan {
+                source: retry.clone(),
+                ranges: vec![(0, region.len)],
+                targets: members(&client),
+                fence: Box::new(move |_, _| old.pause()),
+                commit: Box::new(move |w, eng| {
+                    crate::replica::start_replenishers(&group, w, eng);
+                    swap.swap(client);
+                }),
+                done: Box::new(move |w, eng| done(w, eng, retry.client())),
+                stamp: Box::new(move |w, now, stage| {
+                    let name = match stage {
+                        MigrationStage::Planned => "cutover:start",
+                        MigrationStage::Draining => "cutover:pause",
+                        MigrationStage::Retired => "cutover:swap",
+                        _ => return,
+                    };
+                    w.telemetry.mark(now, name, host.0);
+                }),
+            };
+            run(plan, lease, w, eng);
+        }),
     );
-    cfg.replicas.push(new_member);
-    let now = eng.now();
-    w.telemetry.mark(now, "rejoin:start", new_member.0);
-    if w.telemetry.enabled() {
-        w.telemetry
-            .metrics
-            .counter_add("health_rejoins", "layer=health", 1);
-    }
-    live_cutover(retry, cfg, w, eng, done);
 }

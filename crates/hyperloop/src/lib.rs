@@ -47,6 +47,7 @@ pub mod metadata;
 pub mod migrate;
 pub mod multi;
 pub mod naive;
+mod reconfig;
 pub mod recovery;
 pub mod replica;
 pub mod router;

@@ -10,10 +10,11 @@
 
 use crate::group::{GroupBuilder, GroupConfig, GroupRef};
 use crate::metadata::Primitive;
+use crate::reconfig::{members, Stream};
 use crate::HyperLoopClient;
 use hl_cluster::{deliver, Ctx, ProcAddr, ProcEvent, Process, World};
 use hl_fabric::HostId;
-use hl_rnic::{Access, Cqe, CqeStatus, Opcode, Wqe, WQE_SIZE};
+use hl_rnic::{Cqe, CqeStatus, Opcode, Wqe, WQE_SIZE};
 use hl_sim::{Engine, SimDuration};
 
 /// One-shot continuation used by the recovery helpers.
@@ -229,8 +230,7 @@ pub fn catch_up(
     done: OnRecovered,
 ) {
     // A throwaway QP pair for the copy.
-    static CUP: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-    let uid = CUP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let uid = w.next_catch_up_id();
     let sq_d = w
         .host(dst)
         .layout
@@ -286,9 +286,7 @@ pub fn catch_up(
         let mut s = state.borrow_mut();
         if s.offset >= s.len {
             let done = s.done.take();
-            let dst = s.dst;
             drop(s);
-            let _ = dst;
             if let Some(done) = done {
                 done(w, eng);
             }
@@ -349,77 +347,28 @@ pub fn rebuild_chain(
         .metrics
         .counter_add("recovery_chain_rebuilds", "layer=recovery", 1);
     let mut replicas = survivors;
-    if let Some(nm) = new_member {
-        replicas.push(nm);
-    }
-    let (replenish_period, transport_timeout) = {
-        let g = old.borrow();
-        (g.cfg.replenish_period, g.cfg.transport_timeout)
-    };
+    replicas.extend(new_member);
     let cfg = GroupConfig {
-        client: client_host,
-        replicas: replicas.clone(),
-        rep_bytes,
+        replicas,
         ring_slots,
-        replenish_period,
-        transport_timeout,
+        ..old.borrow().cfg.clone()
     };
     let new_group = GroupBuilder::new(cfg).build(w);
+    let client = HyperLoopClient::new(new_group.clone(), w);
 
     // Bring every member of the new group to the client's state. The
     // client's copy is authoritative (it holds everything it ever
-    // ACKed). The new group's own client region is a fresh allocation,
-    // so seed it with a local copy first; replicas copy over the
-    // fabric.
-    {
-        let new_rep_addr = new_group.borrow().client_rep.addr;
-        let h = w.host(client_host);
-        let bytes = h.mem.read_vec(client_rep.addr, rep_bytes as usize).unwrap();
-        h.mem.write(new_rep_addr, &bytes).unwrap();
-    }
-    let targets: Vec<(HostId, u64)> = {
-        let g = new_group.borrow();
-        (0..g.n_replicas())
-            .map(|i| (g.cfg.replicas[i], g.replica_rep[i].addr))
-            .collect()
-    };
-    // Register the client's rep region for remote reads.
-    let src_mr = {
-        let h = w.host(client_host);
-        h.nic
-            .register_mr(client_rep.addr, client_rep.len, Access::REMOTE_READ)
-    };
-
-    let total = targets.len();
-    let finished = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-    let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-    let ng = new_group.clone();
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let ng = ng.clone();
-        catch_up(
-            w,
-            eng,
-            client_host,
-            src_mr.rkey,
-            client_rep.addr,
-            th,
-            taddr,
-            rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    crate::replica::start_replenishers(&ng, w, eng);
-                    let client = HyperLoopClient::new(ng.clone(), w);
-                    if let Some(done) = done_cell.borrow_mut().take() {
-                        done(w, eng, client);
-                    }
-                }
-            }),
-        );
-    }
+    // ACKed); the new group's own client region is a fresh allocation,
+    // seeded with a local copy, while replicas copy over the fabric.
+    Stream::open(w, client_host, &client_rep, members(&client)).copy(
+        w,
+        eng,
+        &[(0, rep_bytes)],
+        Box::new(move |w, eng| {
+            crate::replica::start_replenishers(&new_group, w, eng);
+            done(w, eng, client);
+        }),
+    );
 }
 
 /// Callback invoked with each transport-error CQE on the client's
@@ -509,34 +458,28 @@ pub fn degrade_to_naive(
     done: OnDegraded,
 ) {
     group.borrow_mut().paused = true;
-    let (client_host, replicas, rep_bytes, ring_slots, client_rep) = {
+    let (cfg, client_rep) = {
         let g = group.borrow();
-        (
-            g.cfg.client,
-            g.cfg.replicas.clone(),
-            g.cfg.rep_bytes,
-            g.cfg.ring_slots,
-            g.client_rep.clone(),
-        )
+        (g.cfg.clone(), g.client_rep.clone())
     };
     hl_sim::trace!(
         w.tracer,
         eng.now(),
         "recovery",
         "degrading to naive-CPU forwarding over {} replicas",
-        replicas.len()
+        cfg.replicas.len()
     );
     let now = eng.now();
     w.telemetry
-        .mark(now, "recovery:degrade-naive", client_host.0);
+        .mark(now, "recovery:degrade-naive", cfg.client.0);
     w.telemetry
         .metrics
         .counter_add("recovery_degrades_to_naive", "layer=recovery", 1);
     let naive = crate::naive::NaiveBuilder::new(crate::naive::NaiveConfig {
-        client: client_host,
-        replicas: replicas.clone(),
-        rep_bytes,
-        ring_slots,
+        client: cfg.client,
+        replicas: cfg.replicas,
+        rep_bytes: cfg.rep_bytes,
+        ring_slots: cfg.ring_slots,
         mode,
         ..Default::default()
     })
@@ -545,52 +488,12 @@ pub fn degrade_to_naive(
     // Seed every member of the naive chain from the client's copy: its
     // local region with a CPU copy, the replicas with chunked RDMA
     // READs (the catch-up path — CPU-posted READs, no WAITs involved).
-    let local_src = client_rep.addr;
-    let local_dst = naive.group().borrow().member_addr(0, 0);
-    let bytes = w
-        .host(client_host)
-        .mem
-        .read_vec(local_src, rep_bytes as usize)
-        .unwrap();
-    w.host(client_host).mem.write(local_dst, &bytes).unwrap();
-
-    let src_mr =
-        w.host(client_host)
-            .nic
-            .register_mr(client_rep.addr, client_rep.len, Access::REMOTE_READ);
-    let targets: Vec<(HostId, u64)> = {
-        let ni = naive.group().borrow();
-        (1..=replicas.len())
-            .map(|m| (replicas[m - 1], ni.member_addr(m, 0)))
-            .collect()
-    };
-    let total = targets.len();
-    let finished = std::rc::Rc::new(std::cell::RefCell::new(0usize));
-    let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-    for (th, taddr) in targets {
-        let finished = finished.clone();
-        let done_cell = done_cell.clone();
-        let naive = naive.clone();
-        catch_up(
-            w,
-            eng,
-            client_host,
-            src_mr.rkey,
-            client_rep.addr,
-            th,
-            taddr,
-            rep_bytes,
-            64 * 1024,
-            Box::new(move |w, eng| {
-                *finished.borrow_mut() += 1;
-                if *finished.borrow() == total {
-                    if let Some(done) = done_cell.borrow_mut().take() {
-                        done(w, eng, naive);
-                    }
-                }
-            }),
-        );
-    }
+    Stream::open(w, cfg.client, &client_rep, members(&naive)).copy(
+        w,
+        eng,
+        &[(0, client_rep.len)],
+        Box::new(move |w, eng| done(w, eng, naive)),
+    );
 }
 
 /// Re-deliver a message to a process directly (test helper for control

@@ -34,12 +34,13 @@ use hyperloop_repro::cluster::shard::{HashRing, ShardGroup, ShardPlan};
 use hyperloop_repro::cluster::{ClusterBuilder, World};
 use hyperloop_repro::fabric::HostId;
 use hyperloop_repro::hyperloop::api::GroupClient;
+use hyperloop_repro::hyperloop::health::live_cutover;
 use hyperloop_repro::hyperloop::naive::{Mode, NaiveBuilder, NaiveClient, NaiveConfig};
 use hyperloop_repro::hyperloop::{
     merge_live, replica, split_live, DeadlinePolicy, GroupBuilder, GroupConfig, HyperLoopClient,
     MigrationSpec, RetryClient, ShardRouter,
 };
-use hyperloop_repro::sim::{SimDuration, SimTime};
+use hyperloop_repro::sim::{Engine, SimDuration, SimTime};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -89,7 +90,12 @@ fn record(i: usize, j: usize) -> Vec<u8> {
 
 /// The last op index writing key `i` — its expected final version.
 fn last_version(i: usize) -> usize {
-    i + K * ((N_OPS - 1 - i) / K)
+    last_write(i, K, N_OPS)
+}
+
+/// The last of `ops` round-robin writes over `keys` keys that hits `i`.
+fn last_write(i: usize, keys: usize, ops: usize) -> usize {
+    i + keys * ((ops - 1 - i) / keys)
 }
 
 fn base_ring() -> HashRing {
@@ -118,8 +124,6 @@ fn place() -> ShardPlan {
 fn mig_spec() -> MigrationSpec {
     MigrationSpec {
         policy: retry_policy(),
-        ring_slots: 64,
-        chunk: 64 * 1024,
     }
 }
 
@@ -152,6 +156,36 @@ struct CampaignRun {
     race: Vec<String>,
 }
 
+/// The chain config of one placed shard group (also what a live
+/// cutover rebuilds it with).
+fn chain_config(g: &ShardGroup) -> GroupConfig {
+    GroupConfig {
+        client: g.client,
+        replicas: g.replicas.clone(),
+        rep_bytes: REP_BYTES,
+        ring_slots: 64,
+        transport_timeout: Some((SimDuration::from_millis(3), 7)),
+        ..Default::default()
+    }
+}
+
+/// Three placed chains behind one router on the base ring.
+fn build_router(w: &mut World, eng: &mut Engine<World>) -> ShardRouter {
+    let retries = place()
+        .groups
+        .iter()
+        .map(|g| {
+            let group = GroupBuilder::new(chain_config(g)).build(w);
+            replica::start_replenishers(&group, w, eng);
+            let client = HyperLoopClient::new(group, w);
+            RetryClient::with_policy(client, retry_policy())
+        })
+        .collect();
+    let router = ShardRouter::new(retries);
+    assert_eq!(router.ring(), base_ring());
+    router
+}
+
 /// Run the campaign: three chains + router, open-loop keyed writes,
 /// optional mid-run split (and merge back), optional fault schedule.
 fn run_campaign(
@@ -170,24 +204,7 @@ fn run_campaign(
         w.enable_telemetry();
     }
 
-    let plan = place();
-    let mut retries = Vec::new();
-    for g in &plan.groups {
-        let group = GroupBuilder::new(GroupConfig {
-            client: g.client,
-            replicas: g.replicas.clone(),
-            rep_bytes: REP_BYTES,
-            ring_slots: 64,
-            transport_timeout: Some((SimDuration::from_millis(3), 7)),
-            ..Default::default()
-        })
-        .build(&mut w);
-        replica::start_replenishers(&group, &mut w, &mut eng);
-        let client = HyperLoopClient::new(group, &mut w);
-        retries.push(RetryClient::with_policy(client, retry_policy()));
-    }
-    let router = ShardRouter::new(retries);
-    assert_eq!(router.ring(), base_ring());
+    let router = build_router(&mut w, &mut eng);
 
     // Open-loop keyed traffic; completions recorded per *original*
     // owner so migration and control runs index identically.
@@ -255,7 +272,6 @@ fn run_campaign(
                 &router2,
                 PARENT,
                 moving,
-                mig_spec(),
                 w,
                 eng,
                 Box::new(move |_w, _e| *m.borrow_mut() = true),
@@ -606,6 +622,170 @@ fn split_stage_transitions_fire_in_order() {
         cutover < flip && flip < retired,
         "flip must land inside the cutover stage"
     );
+}
+
+// ---------------------------------------------------------------------
+// Overlapping reconfigurations: a split or merge racing a live cutover.
+// ---------------------------------------------------------------------
+
+/// Overlap traffic: a write every 10µs over 12 keys from 3ms, nine per
+/// key, so the stream ends at 4.07ms — after the first reconfiguration
+/// starts at 4ms and the second up to 50µs later, while both still run.
+const OV_KEYS: usize = 12;
+const OV_OPS: usize = 9 * OV_KEYS;
+const OV_START: u64 = 3_000_000;
+const OV_PERIOD: u64 = 10_000;
+const OV_FIRST: u64 = 4_000_000;
+const OV_OFFSETS: [u64; 3] = [0, 20_000, 50_000];
+/// The merge victim: the last of the three base shards.
+const VICTIM: usize = N_SHARDS - 1;
+
+/// Which topology change races the live cutover of shard 0.
+#[derive(Debug, Clone, Copy)]
+enum Race {
+    /// Split shard 0 (the cutover rebuilds the donor).
+    Split,
+    /// Merge the last shard into shard 0 (the cutover rebuilds the
+    /// survivor).
+    Merge,
+}
+
+/// Run one overlap and return what went wrong (empty when the run
+/// converged): a reconfiguration that never completed, a failed op, or
+/// a member of a key's final owner chain not holding its last write.
+fn run_overlap(seed: u64, race: Race, cutover_first: bool, offset: u64) -> Vec<String> {
+    let (mut w, mut eng) = ClusterBuilder::new(N_HOSTS)
+        .arena_size(4 << 20)
+        .seed(seed)
+        .build();
+    let router = build_router(&mut w, &mut eng);
+    for j in 0..OV_OPS {
+        let i = j % OV_KEYS;
+        let router = router.clone();
+        let at = SimTime::from_nanos(OV_START + j as u64 * OV_PERIOD);
+        eng.schedule_at(at, move |w: &mut World, eng| {
+            let done = Box::new(|_: &mut World, _: &mut Engine<World>, _| {});
+            router.gwrite_keyed(
+                w,
+                eng,
+                &key_bytes(i),
+                slot_off(i),
+                &record(i, j),
+                true,
+                done,
+            );
+        });
+    }
+
+    let final_ring = match race {
+        Race::Split => split_ring(),
+        Race::Merge => base_ring().merge_shard(VICTIM, PARENT),
+    };
+    let moving: Vec<(u64, u64)> = (0..OV_KEYS)
+        .filter(|&i| base_ring().shard_of(&key_bytes(i)) == VICTIM)
+        .map(|i| (slot_off(i), REC_BYTES as u64))
+        .collect();
+    assert!(
+        !moving.is_empty(),
+        "no overlap key lives on the merge victim"
+    );
+    let topo_done = Rc::new(RefCell::new(false));
+    let cut_done = Rc::new(RefCell::new(false));
+    let topo = {
+        let (router, flag) = (router.clone(), topo_done.clone());
+        move |w: &mut World, eng: &mut Engine<World>| {
+            let done =
+                Box::new(move |_: &mut World, _: &mut Engine<World>| *flag.borrow_mut() = true);
+            match race {
+                Race::Split => split_live(&router, PARENT, dest_group(), mig_spec(), w, eng, done),
+                Race::Merge => merge_live(&router, PARENT, moving, w, eng, done),
+            }
+        }
+    };
+    let cut = {
+        let (retry, flag) = (router.client(PARENT), cut_done.clone());
+        let cfg = chain_config(&place().groups[PARENT]);
+        move |w: &mut World, eng: &mut Engine<World>| {
+            let done =
+                Box::new(move |_: &mut World, _: &mut Engine<World>, _| *flag.borrow_mut() = true);
+            live_cutover(&retry, cfg, w, eng, done);
+        }
+    };
+    let (first, second) = (
+        SimTime::from_nanos(OV_FIRST),
+        SimTime::from_nanos(OV_FIRST + offset),
+    );
+    if cutover_first {
+        eng.schedule_at(first, cut);
+        eng.schedule_at(second, topo);
+    } else {
+        eng.schedule_at(first, topo);
+        eng.schedule_at(second, cut);
+    }
+    eng.run_until(&mut w, SimTime::from_nanos(T_END));
+
+    let mut bad = Vec::new();
+    if !*topo_done.borrow() {
+        bad.push(format!("{race:?} never completed"));
+    }
+    if !*cut_done.borrow() {
+        bad.push("cutover never completed".to_string());
+    }
+    if !router.failures().is_empty() {
+        bad.push(format!("{} ops failed", router.failures().len()));
+    }
+    for i in 0..OV_KEYS {
+        let last = last_write(i, OV_KEYS, OV_OPS);
+        let owner = router.client(final_ring.shard_of(&key_bytes(i))).backend();
+        for m in 0..owner.group_size() {
+            let addr = owner.member_addr(m, slot_off(i));
+            let got = member_snapshot(&w, owner.member_host(m), addr, REC_BYTES);
+            if got != record(i, last) {
+                let held = String::from_utf8_lossy(&got[..12]);
+                bad.push(format!("key {i} member {m}: {held:?}, want v{last:04}"));
+            }
+        }
+    }
+    bad
+}
+
+/// Run every seed, offset and order of one race; fail listing each
+/// divergent run.
+fn assert_overlaps_converge(race: Race) {
+    let mut divergent = Vec::new();
+    for seed in 1..=6 {
+        for offset in OV_OFFSETS {
+            for cutover_first in [false, true] {
+                let bad = run_overlap(seed, race, cutover_first, offset);
+                if !bad.is_empty() {
+                    divergent.push(format!(
+                        "seed {seed} +{}us cutover_first={cutover_first}: {bad:?}",
+                        offset / 1_000
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        divergent.is_empty(),
+        "{race:?} x cutover diverged in {} runs:\n{}",
+        divergent.len(),
+        divergent.join("\n")
+    );
+}
+
+/// A split and a live cutover of the donor, started 0-50µs apart in
+/// either order, both complete and leave every key's last write on
+/// every member of its final owner chain.
+#[test]
+fn split_overlapping_donor_cutover_converges() {
+    assert_overlaps_converge(Race::Split);
+}
+
+/// The same for a merge and a live cutover of the survivor.
+#[test]
+fn merge_overlapping_survivor_cutover_converges() {
+    assert_overlaps_converge(Race::Merge);
 }
 
 // ---------------------------------------------------------------------
