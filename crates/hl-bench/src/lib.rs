@@ -34,30 +34,41 @@ pub mod timeline;
 /// pays nothing. Tests use it to pin down "this loop allocates nothing
 /// in steady state" claims about the datapath (telemetry drain, event
 /// scheduling, campaign merge) instead of trusting comments.
+///
+/// Counts are kept **per thread**, so tests running in parallel in one
+/// process do not count each other's allocations. A count therefore
+/// covers only the calling thread: work a measured closure hands to
+/// other threads is not included.
 #[cfg(feature = "alloc-audit")]
 pub mod alloc_audit {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static FREES: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // `const` initialiser and no destructor: touching it never
+        // allocates, so the allocator itself can count with it.
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
 
-    /// System allocator that counts every alloc/free.
+    fn bump() {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    /// System allocator that counts each thread's allocations.
     pub struct CountingAlloc;
 
     // SAFETY: defers to `System` for every operation; the counters are
     // side effects only.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            bump();
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            FREES.fetch_add(1, Ordering::Relaxed);
             unsafe { System.dealloc(ptr, layout) }
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            bump();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -65,12 +76,14 @@ pub mod alloc_audit {
     #[global_allocator]
     static AUDIT_ALLOC: CountingAlloc = CountingAlloc;
 
-    /// Allocations (including reallocs) since process start.
+    /// Allocations (including reallocs) made by the calling thread
+    /// since it started.
     pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
+        ALLOCS.with(Cell::get)
     }
 
-    /// Run `f` and return how many allocations it performed.
+    /// Run `f` and return how many allocations it performed on the
+    /// calling thread.
     pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
         let before = allocs();
         let r = f();

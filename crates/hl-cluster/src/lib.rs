@@ -135,10 +135,10 @@ impl Ctx<'_> {
     pub fn submit_work(&mut self, d: SimDuration, tag: u64) {
         assert_ne!(tag, DISPATCH_TAG, "reserved tag");
         let now = self.now();
-        let outs = self.world.hosts[self.me.host.0]
-            .cpu
-            .submit(now, self.me.pid, d.as_nanos(), tag);
-        route_cpu(self.me.host, outs, self.world, self.eng);
+        let pid = self.me.pid;
+        self.world.with_cpu(self.me.host, self.eng, |cpu, out| {
+            cpu.submit(now, pid, d.as_nanos(), tag, out)
+        });
     }
 
     /// Arm a timer; fires as [`ProcEvent::Timer`] with `tag` after
@@ -167,11 +167,7 @@ impl Ctx<'_> {
 
     /// Ring a QP doorbell and route the NIC's outputs.
     pub fn ring_doorbell(&mut self, qpn: u32) {
-        let now = self.now();
-        let host = self.me.host;
-        let h = &mut self.world.hosts[host.0];
-        let outs = h.nic.ring_doorbell(now, qpn, &mut h.mem);
-        route_nic(host, outs, self.world, self.eng);
+        self.world.ring_doorbell(self.me.host, qpn, self.eng);
     }
 
     /// Poll a CQ (the CPU cost of polling is the caller's to model).
@@ -236,6 +232,14 @@ pub struct World {
     cqe_scratch: Vec<Cqe>,
     /// Catch-up copies started so far; names each copy's QP regions.
     catch_ups: u32,
+    /// Spare output buffers for the NIC and CPU models. Routing
+    /// re-enters the models while an outer buffer is still draining
+    /// (CQ callbacks and process handlers run inside the drain), so
+    /// every model call borrows a buffer of its own from the pool and
+    /// hands it back empty: the pool grows to the deepest nesting once
+    /// and nothing is allocated per call after that.
+    nic_bufs: Vec<Vec<NicOutput>>,
+    cpu_bufs: Vec<Vec<CpuOutput>>,
 }
 
 /// High-frequency datapath events, dispatched through the engine's
@@ -337,9 +341,9 @@ impl EventCtx for World {
                 }
             }
             WorldEvent::NicRx { dst, packet } => {
-                let h = &mut self.hosts[dst.0];
-                let outs = h.nic.on_packet(now, packet, &mut h.mem);
-                route_nic(dst, outs, self, eng);
+                self.with_nic(dst, eng, |h, out| {
+                    h.nic.on_packet(now, packet, &mut h.mem, out)
+                });
             }
             WorldEvent::CqeDeliver { host, cq, cqe } => {
                 hl_sim::trace!(
@@ -357,24 +361,23 @@ impl EventCtx for World {
                     self.telemetry
                         .flight_dump(now, format!("cqe:{:?}:host{}", cqe.status, host.0));
                 }
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.deliver_cqe(now, cq, cqe, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                self.with_nic(host, eng, |h, out| {
+                    h.nic.deliver_cqe(now, cq, cqe, &mut h.mem, out)
+                });
             }
             WorldEvent::DoLocal { host, qpn, wqe } => {
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.finish_local(now, qpn, wqe, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                self.with_nic(host, eng, |h, out| {
+                    h.nic.finish_local(now, qpn, wqe, &mut h.mem, out)
+                });
             }
             WorldEvent::NicTimer { host, qpn, gen } => {
                 self.timer_tokens.remove(&(host.0, qpn));
-                let h = &mut self.hosts[host.0];
-                let outs = h.nic.on_timer(now, qpn, gen, &mut h.mem);
-                route_nic(host, outs, self, eng);
+                self.with_nic(host, eng, |h, out| {
+                    h.nic.on_timer(now, qpn, gen, &mut h.mem, out)
+                });
             }
             WorldEvent::CpuTimer { host, core, gen } => {
-                let outs = self.hosts[host.0].cpu.on_timer(now, core, gen);
-                route_cpu(host, outs, self, eng);
+                self.with_cpu(host, eng, |cpu, out| cpu.on_timer(now, core, gen, out));
             }
         }
     }
@@ -384,6 +387,34 @@ impl World {
     /// Host accessor.
     pub fn host(&mut self, h: HostId) -> &mut Host {
         &mut self.hosts[h.0]
+    }
+
+    /// Call a NIC entry point of `host` with a pooled output buffer,
+    /// then route whatever it appended (see [`route_nic`]).
+    pub(crate) fn with_nic(
+        &mut self,
+        host: HostId,
+        eng: &mut Engine<World>,
+        f: impl FnOnce(&mut Host, &mut Vec<NicOutput>),
+    ) {
+        let mut out = self.nic_bufs.pop().unwrap_or_default();
+        f(&mut self.hosts[host.0], &mut out);
+        route_nic(host, &mut out, self, eng);
+        self.nic_bufs.push(out);
+    }
+
+    /// Call a CPU-model entry point of `host` with a pooled output
+    /// buffer, then route whatever it appended (see [`route_cpu`]).
+    pub(crate) fn with_cpu(
+        &mut self,
+        host: HostId,
+        eng: &mut Engine<World>,
+        f: impl FnOnce(&mut HostCpu, &mut Vec<CpuOutput>),
+    ) {
+        let mut out = self.cpu_bufs.pop().unwrap_or_default();
+        f(&mut self.hosts[host.0].cpu, &mut out);
+        route_cpu(host, &mut out, self, eng);
+        self.cpu_bufs.push(out);
     }
 
     /// Number of hosts.
@@ -432,8 +463,9 @@ impl World {
     /// Spawn a `stress-ng`-style CPU hog on a host.
     pub fn spawn_hog(&mut self, host: HostId, name: &str, eng: &mut Engine<World>) {
         let now = eng.now();
-        let (_pid, outs) = self.hosts[host.0].cpu.spawn_hog(now, name);
-        route_cpu(host, outs, self, eng);
+        self.with_cpu(host, eng, |cpu, out| {
+            cpu.spawn_hog(now, name, out);
+        });
     }
 
     /// Subscribe a process to completion events of a CQ (event-driven
@@ -472,9 +504,9 @@ impl World {
     /// Ring a doorbell from outside a process (drivers).
     pub fn ring_doorbell(&mut self, host: HostId, qpn: u32, eng: &mut Engine<World>) {
         let now = eng.now();
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.ring_doorbell(now, qpn, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        self.with_nic(host, eng, |h, out| {
+            h.nic.ring_doorbell(now, qpn, &mut h.mem, out)
+        });
     }
 
     /// Send a message between processes (driver-side variant of
@@ -530,9 +562,9 @@ impl World {
             "{host} nic {}",
             if on { "STALL" } else { "unstall" }
         );
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.set_stalled(now, on, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        self.with_nic(host, eng, |h, out| {
+            h.nic.set_stalled(now, on, &mut h.mem, out)
+        });
     }
 
     /// One line per violation recorded by the race detector across
@@ -570,9 +602,9 @@ impl World {
             "{host} wait-engine {}",
             if on { "STALL" } else { "unstall" }
         );
-        let h = &mut self.hosts[host.0];
-        let outs = h.nic.set_wait_stalled(now, on, &mut h.mem);
-        route_nic(host, outs, self, eng);
+        self.with_nic(host, eng, |h, out| {
+            h.nic.set_wait_stalled(now, on, &mut h.mem, out)
+        });
     }
 
     /// Turn on causal op tracing: the telemetry hub starts recording
@@ -723,6 +755,8 @@ impl ClusterBuilder {
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
             catch_ups: 0,
+            nic_bufs: Vec::new(),
+            cpu_bufs: Vec::new(),
         };
         (world, Engine::new())
     }
@@ -740,15 +774,17 @@ pub fn deliver(
 ) {
     w.procs[to.host.0][to.pid.0].mailbox.push_back(ev);
     let now = eng.now();
-    let outs = w.hosts[to.host.0]
-        .cpu
-        .submit(now, to.pid, cost.as_nanos(), DISPATCH_TAG);
-    route_cpu(to.host, outs, w, eng);
+    w.with_cpu(to.host, eng, |cpu, out| {
+        cpu.submit(now, to.pid, cost.as_nanos(), DISPATCH_TAG, out)
+    });
 }
 
-/// Turn CPU-model outputs into events.
-pub fn route_cpu(host: HostId, outs: Vec<CpuOutput>, w: &mut World, eng: &mut Engine<World>) {
-    for o in outs {
+/// Turn CPU-model outputs into events, draining `outs` in order.
+/// Process handlers run from inside the drain and may re-enter the CPU
+/// model, which is why [`World::with_cpu`] gives every call a buffer of
+/// its own.
+fn route_cpu(host: HostId, outs: &mut Vec<CpuOutput>, w: &mut World, eng: &mut Engine<World>) {
+    for o in outs.drain(..) {
         match o {
             CpuOutput::Timer { core, gen, at } => {
                 eng.schedule_event_at(at, WorldEvent::CpuTimer { host, core, gen });
@@ -815,10 +851,12 @@ fn drain_nic_telemetry(host: HostId, w: &mut World) {
     w.nic_event_scratch = scratch;
 }
 
-/// Turn NIC outputs into events.
-pub fn route_nic(host: HostId, outs: Vec<NicOutput>, w: &mut World, eng: &mut Engine<World>) {
+/// Turn NIC outputs into events, draining `outs` in order. CQ
+/// callbacks run from inside the drain and may re-enter the NIC, which
+/// is why [`World::with_nic`] gives every call a buffer of its own.
+fn route_nic(host: HostId, outs: &mut Vec<NicOutput>, w: &mut World, eng: &mut Engine<World>) {
     drain_nic_telemetry(host, w);
-    for o in outs {
+    for o in outs.drain(..) {
         match o {
             NicOutput::Transmit {
                 at,

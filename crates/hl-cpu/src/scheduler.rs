@@ -2,9 +2,11 @@
 //!
 //! One [`HostCpu`] models all cores of a host and the processes sharing
 //! them. The model is a pure state machine: callers feed it *work
-//! submissions* and *timer expirations*, and it returns outputs
-//! (`Timer` requests and `WorkDone` notifications) that the cluster
-//! layer turns into simulation events.
+//! submissions* and *timer expirations*, and it appends outputs
+//! (`Timer` requests and `WorkDone` notifications) to a caller-owned
+//! buffer that the cluster layer drains into simulation events. The
+//! caller reuses that buffer, so a steady-state submit/timer loop
+//! allocates nothing.
 //!
 //! The scheduling policy is a simplified CFS:
 //!
@@ -22,10 +24,24 @@
 //! This is exactly the machinery whose queueing delays put replica CPUs
 //! on the critical path in the paper's Naïve-RDMA and native baselines;
 //! HyperLoop's NIC datapath never enters this module.
+//!
+//! ## Per-event cost
+//!
+//! Hosts in the Figure 2 regime run hundreds of processes, so no event
+//! handler scans the process table. The model keeps a count of active
+//! (not Blocked) processes for the slice length and the overload test,
+//! and keeps Runnable processes in [`RunQueue`] min-heaps keyed by
+//! `(vruntime, pid)`: one for unpinned processes and one per core for
+//! processes pinned there. A Runnable process's vruntime never changes,
+//! so its key stays valid while it waits. Picking for a core compares
+//! the top of its pinned heap with the top of the unpinned heap (unless
+//! the core is exclusive) — exactly the lowest `(vruntime, pid)` a scan
+//! of every eligible process would find, ties going to the lowest pid.
 
 use hl_sim::config::CpuProfile;
 use hl_sim::{Histogram, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Process identifier within one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,12 +126,22 @@ struct Core {
     slice_end: SimTime,
 }
 
+/// Runnable processes waiting for a core, lowest `(vruntime, pid)`
+/// first.
+type RunQueue = BinaryHeap<Reverse<(u64, usize)>>;
+
 /// All cores and processes of one simulated host.
 #[derive(Debug)]
 pub struct HostCpu {
     profile: CpuProfile,
     cores: Vec<Core>,
     procs: Vec<Proc>,
+    /// Processes that are not Blocked (Runnable or Running).
+    active: usize,
+    /// Runnable processes that may run on any non-exclusive core.
+    runq: RunQueue,
+    /// Runnable processes pinned to each core, indexed by core.
+    pinned_runq: Vec<RunQueue>,
     /// Monotonic vruntime floor (sleeper fairness reference).
     min_vruntime: u64,
     /// Woken task preempts only if it leads the victim's vruntime by this.
@@ -145,6 +171,9 @@ impl HostCpu {
         HostCpu {
             cores,
             procs: Vec::new(),
+            active: 0,
+            runq: RunQueue::new(),
+            pinned_runq: (0..profile.cores).map(|_| RunQueue::new()).collect(),
             min_vruntime: 0,
             wakeup_granularity: profile.wakeup_granularity.as_nanos(),
             ctx_switches: 0,
@@ -171,12 +200,7 @@ impl HostCpu {
     /// switches rise — Figure 2's mechanism), floored at a minimum
     /// granularity. Jittered ±10% when a noise source is installed.
     fn slice_len(&mut self) -> SimDuration {
-        let runnable = self
-            .procs
-            .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .count()
-            .max(1);
+        let runnable = self.active.max(1);
         let cores = self.cores.len().max(1);
         let base = self.profile.time_slice.as_nanos() as f64;
         let min_gran = base / 10.0;
@@ -218,33 +242,46 @@ impl HostCpu {
     }
 
     /// Spawn a CPU hog: always runnable, consumes every cycle offered.
-    /// Models `stress-ng` background tenants.
-    pub fn spawn_hog(&mut self, now: SimTime, name: &str) -> (ProcId, Vec<CpuOutput>) {
+    /// Models `stress-ng` background tenants. Outputs are appended to
+    /// `out`.
+    pub fn spawn_hog(&mut self, now: SimTime, name: &str, out: &mut Vec<CpuOutput>) -> ProcId {
         let pid = self.spawn(name, None);
-        let out = self.submit(now, pid, u64::MAX, 0);
-        (pid, out)
+        self.submit(now, pid, u64::MAX, 0, out);
+        pid
     }
 
     /// Submit `work_ns` of CPU work for `pid`, tagged `tag`. Wakes the
-    /// process if blocked. `u64::MAX` means run forever (hog).
+    /// process if blocked. `u64::MAX` means run forever (hog). Outputs
+    /// are appended to `out`.
     pub fn submit(
         &mut self,
         now: SimTime,
         pid: ProcId,
         work_ns: u64,
         tag: WorkTag,
-    ) -> Vec<CpuOutput> {
+        out: &mut Vec<CpuOutput>,
+    ) {
         self.procs[pid.0].work.push_back(WorkItem {
             remaining: work_ns,
             tag,
         });
-        match self.procs[pid.0].state {
-            RunState::Blocked => self.wake(now, pid),
-            RunState::Runnable | RunState::Running { .. } => Vec::new(),
+        if self.procs[pid.0].state == RunState::Blocked {
+            self.wake(now, pid, out);
         }
     }
 
-    fn wake(&mut self, now: SimTime, pid: ProcId) -> Vec<CpuOutput> {
+    /// Queue a Runnable process for a core.
+    fn enqueue(&mut self, pid: ProcId) {
+        let p = &self.procs[pid.0];
+        debug_assert_eq!(p.state, RunState::Runnable);
+        let key = Reverse((p.vruntime, pid.0));
+        match p.pinned {
+            Some(c) => self.pinned_runq[c].push(key),
+            None => self.runq.push(key),
+        }
+    }
+
+    fn wake(&mut self, now: SimTime, pid: ProcId, out: &mut Vec<CpuOutput>) {
         debug_assert_eq!(self.procs[pid.0].state, RunState::Blocked);
         self.refresh_min_vruntime();
         // Sleeper fairness: don't let long sleepers starve everyone, but
@@ -255,12 +292,7 @@ impl HostCpu {
         // (prev_cpu / waker-cpu affinity) sometimes enqueues behind
         // tasks already queued on a busy core instead of at the global
         // head — Linux runqueues are per-core and balancing is lazy.
-        let runnable = self
-            .procs
-            .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .count();
-        let overload = runnable.saturating_sub(self.cores.len());
+        let overload = self.active.saturating_sub(self.cores.len());
         if overload > 0 && self.profile.wake_penalty_slices > 0.0 {
             if let Some(rng) = &mut self.rng {
                 let p_bad = (overload as f64 / (32.0 * self.cores.len() as f64)).min(0.04);
@@ -275,6 +307,7 @@ impl HostCpu {
         p.vruntime = p.vruntime.max(target);
         p.state = RunState::Runnable;
         p.runnable_since = now;
+        self.active += 1;
 
         // Idle core available? (Re-dispatching on the core we just ran
         // on skips the wakeup IPI.)
@@ -284,16 +317,17 @@ impl HostCpu {
             } else {
                 self.profile.wakeup
             };
-            return self.dispatch(now + delay, core, pid);
+            self.dispatch(now + delay, core, pid, out);
+            return;
         }
         // Wakeup preemption: evict the running process with the largest
         // vruntime if the woken one leads by more than the granularity.
         if let Some(core) = self.pick_preemption_victim(pid) {
-            let mut out = self.preempt(now, core);
-            out.extend(self.dispatch(now + self.profile.wakeup, core, pid));
-            return out;
+            self.preempt(now, core);
+            self.dispatch(now + self.profile.wakeup, core, pid, out);
+            return;
         }
-        Vec::new()
+        self.enqueue(pid);
     }
 
     fn pick_idle_core(&self, pid: ProcId) -> Option<usize> {
@@ -313,13 +347,13 @@ impl HostCpu {
 
     fn pick_preemption_victim(&self, pid: ProcId) -> Option<usize> {
         let woken = &self.procs[pid.0];
-        let candidates: Box<dyn Iterator<Item = usize>> = match woken.pinned {
-            Some(c) => Box::new(std::iter::once(c)),
-            None => Box::new(0..self.cores.len()),
+        let candidates = match woken.pinned {
+            Some(c) => c..c + 1,
+            None => 0..self.cores.len(),
         };
         let mut best: Option<(usize, u64)> = None;
         for c in candidates {
-            if self.cores[c].exclusive && self.procs[pid.0].pinned != Some(c) {
+            if self.cores[c].exclusive && woken.pinned != Some(c) {
                 continue;
             }
             let Some(victim) = self.cores[c].running else {
@@ -333,8 +367,9 @@ impl HostCpu {
         best.map(|(c, _)| c)
     }
 
-    /// Stop the process on `core` mid-slice, preserving unfinished work.
-    fn preempt(&mut self, now: SimTime, core: usize) -> Vec<CpuOutput> {
+    /// Stop the process on `core` mid-slice, preserving unfinished work,
+    /// and return it to the run queue.
+    fn preempt(&mut self, now: SimTime, core: usize) {
         // Callers only preempt a core they just found busy; an idle core
         // here is a scheduler-invariant violation worth aborting on.
         // hl-lint: allow(panic-in-handler)
@@ -345,7 +380,7 @@ impl HostCpu {
         p.runnable_since = now;
         self.cores[core].running = None;
         self.cores[core].gen += 1; // invalidate outstanding timer
-        Vec::new()
+        self.enqueue(pid);
     }
 
     /// Account CPU consumed by `pid` on `core` since dispatch, shrinking
@@ -365,8 +400,9 @@ impl HostCpu {
     }
 
     /// Put `pid` on `core` starting at `now` (context-switch cost applies
-    /// when the core last ran a different process).
-    fn dispatch(&mut self, now: SimTime, core: usize, pid: ProcId) -> Vec<CpuOutput> {
+    /// when the core last ran a different process). The caller has
+    /// already taken `pid` off the run queue, or never queued it.
+    fn dispatch(&mut self, now: SimTime, core: usize, pid: ProcId, out: &mut Vec<CpuOutput>) {
         debug_assert!(self.cores[core].running.is_none());
         debug_assert_eq!(self.procs[pid.0].state, RunState::Runnable);
         // Continuing the same process on the same core costs nothing.
@@ -397,17 +433,18 @@ impl HostCpu {
         c.run_start = start;
         c.slice_end = slice_end;
         c.gen += 1;
-        vec![CpuOutput::Timer {
+        out.push(CpuOutput::Timer {
             core,
             gen: c.gen,
             at: decision,
-        }]
+        });
     }
 
-    /// Timer callback. Ignores stale generations.
-    pub fn on_timer(&mut self, now: SimTime, core: usize, gen: u64) -> Vec<CpuOutput> {
+    /// Timer callback. Ignores stale generations. Outputs are appended
+    /// to `out`.
+    pub fn on_timer(&mut self, now: SimTime, core: usize, gen: u64, out: &mut Vec<CpuOutput>) {
         if self.cores[core].gen != gen {
-            return Vec::new();
+            return;
         }
         // Scheduler invariant, not reachable from packet/external data:
         // a current-generation timer implies the core is running (idling
@@ -416,7 +453,6 @@ impl HostCpu {
         self.charge(now, core, pid);
         // Reset run_start so later charges don't double count.
         self.cores[core].run_start = now;
-        let mut out = Vec::new();
 
         let finished = self.procs[pid.0]
             .work
@@ -447,57 +483,55 @@ impl HostCpu {
                 gen: c.gen,
                 at: decision,
             });
-            return out;
+            return;
         }
 
         // The process leaves the core: either it has no work (block) or
         // its slice expired (back to the runqueue).
         self.cores[core].running = None;
         self.cores[core].gen += 1;
-        {
-            let p = &mut self.procs[pid.0];
-            if has_work {
-                p.state = RunState::Runnable;
-                p.runnable_since = now;
-            } else {
-                p.state = RunState::Blocked;
-            }
+        let p = &mut self.procs[pid.0];
+        if has_work {
+            p.state = RunState::Runnable;
+            p.runnable_since = now;
+            self.enqueue(pid);
+        } else {
+            p.state = RunState::Blocked;
+            self.active -= 1;
         }
-        out.extend(self.schedule_core(now, core));
-        out
+        self.schedule_core(now, core, out);
     }
 
-    /// Pick the lowest-vruntime runnable process allowed on `core`.
-    fn schedule_core(&mut self, now: SimTime, core: usize) -> Vec<CpuOutput> {
+    /// Dispatch the lowest-`(vruntime, pid)` runnable process allowed on
+    /// `core`: the better of its pinned queue's head and, unless the
+    /// core is exclusive, the unpinned queue's head.
+    fn schedule_core(&mut self, now: SimTime, core: usize, out: &mut Vec<CpuOutput>) {
         debug_assert!(self.cores[core].running.is_none());
-        let mut best: Option<(ProcId, u64)> = None;
-        let exclusive = self.cores[core].exclusive;
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.state != RunState::Runnable {
-                continue;
-            }
-            if p.pinned.is_some_and(|c| c != core) {
-                continue;
-            }
-            if exclusive && p.pinned != Some(core) {
-                continue;
-            }
-            if best.is_none_or(|(_, bv)| p.vruntime < bv) {
-                best = Some((ProcId(i), p.vruntime));
-            }
-        }
-        match best {
-            Some((pid, _)) => self.dispatch(now, core, pid),
-            None => Vec::new(),
+        let pinned = self.pinned_runq[core].peek().map(|r| r.0);
+        let shared = if self.cores[core].exclusive {
+            None
+        } else {
+            self.runq.peek().map(|r| r.0)
+        };
+        let queue = match (pinned, shared) {
+            (None, None) => return,
+            (Some(p), Some(s)) if s < p => &mut self.runq,
+            (None, Some(_)) => &mut self.runq,
+            (Some(_), _) => &mut self.pinned_runq[core],
+        };
+        if let Some(Reverse((_, pid))) = queue.pop() {
+            self.dispatch(now, core, ProcId(pid), out);
         }
     }
 
+    /// Raise the vruntime floor to the smallest vruntime among active
+    /// processes: the queue heads and whatever runs on the cores.
     fn refresh_min_vruntime(&mut self) {
-        let active_min = self
-            .procs
-            .iter()
-            .filter(|p| p.state != RunState::Blocked)
-            .map(|p| p.vruntime)
+        let queued = self.pinned_runq.iter().chain(std::iter::once(&self.runq));
+        let running = self.cores.iter().filter_map(|c| c.running);
+        let active_min = queued
+            .filter_map(|q| q.peek().map(|Reverse((v, _))| *v))
+            .chain(running.map(|pid| self.procs[pid.0].vruntime))
             .min();
         if let Some(m) = active_min {
             self.min_vruntime = self.min_vruntime.max(m);
@@ -593,7 +627,8 @@ mod tests {
             match o {
                 CpuOutput::Timer { core, gen, at } => {
                     eng.schedule_at(at, move |sim: &mut Sim, eng| {
-                        let out = sim.cpu.on_timer(eng.now(), core, gen);
+                        let mut out = Vec::new();
+                        sim.cpu.on_timer(eng.now(), core, gen, &mut out);
                         route(out, sim, eng);
                     });
                 }
@@ -620,7 +655,8 @@ mod tests {
         };
         let mut eng = Engine::new();
         let pid = sim.cpu.spawn("worker", None);
-        let out = sim.cpu.submit(SimTime::ZERO, pid, 10_000, 7);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, pid, 10_000, 7, &mut out);
         route(out, &mut sim, &mut eng);
         eng.run(&mut sim);
         assert_eq!(sim.done.len(), 1);
@@ -642,7 +678,8 @@ mod tests {
         let mut eng = Engine::new();
         let pid = sim.cpu.spawn("worker", None);
         // 2.5 ms of work with 1 ms slices: needs 3 dispatches.
-        let out = sim.cpu.submit(SimTime::ZERO, pid, 2_500_000, 1);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, pid, 2_500_000, 1, &mut out);
         route(out, &mut sim, &mut eng);
         eng.run(&mut sim);
         assert_eq!(sim.done.len(), 1);
@@ -659,14 +696,16 @@ mod tests {
             done: Vec::new(),
         };
         let mut eng = Engine::new();
-        let (_hog, out) = sim.cpu.spawn_hog(SimTime::ZERO, "stress");
+        let mut out = Vec::new();
+        let _hog = sim.cpu.spawn_hog(SimTime::ZERO, "stress", &mut out);
         route(out, &mut sim, &mut eng);
         let pid = sim.cpu.spawn("worker", None);
         // Wake the worker mid-hog-slice. The hog has consumed nothing
         // extra yet, so vruntime gap < granularity: no preemption. The
         // worker waits for the slice end.
         eng.schedule(SimDuration::from_micros(100), move |sim: &mut Sim, eng| {
-            let out = sim.cpu.submit(eng.now(), pid, 10_000, 2);
+            let mut out = Vec::new();
+            sim.cpu.submit(eng.now(), pid, 10_000, 2, &mut out);
             route(out, sim, eng);
         });
         eng.run_until(&mut sim, SimTime::from_nanos(10_000_000));
@@ -685,14 +724,16 @@ mod tests {
             done: Vec::new(),
         };
         let mut eng = Engine::new();
-        let (_hog, out) = sim.cpu.spawn_hog(SimTime::ZERO, "stress");
+        let mut out = Vec::new();
+        let _hog = sim.cpu.spawn_hog(SimTime::ZERO, "stress", &mut out);
         route(out, &mut sim, &mut eng);
         let pid = sim.cpu.spawn("worker", None);
         // After the hog has accumulated ~5ms of vruntime, a fresh waker
         // (vruntime floored at min_vruntime - slice) leads by > 500us and
         // preempts.
         eng.schedule(SimDuration::from_millis(5), move |sim: &mut Sim, eng| {
-            let out = sim.cpu.submit(eng.now(), pid, 10_000, 3);
+            let mut out = Vec::new();
+            sim.cpu.submit(eng.now(), pid, 10_000, 3, &mut out);
             route(out, sim, eng);
         });
         eng.run_until(&mut sim, SimTime::from_nanos(20_000_000));
@@ -713,10 +754,12 @@ mod tests {
         };
         let mut eng = Engine::new();
         // Hog occupies core 0 implicitly (first idle core).
-        let (_hog, out) = sim.cpu.spawn_hog(SimTime::ZERO, "stress");
+        let mut out = Vec::new();
+        let _hog = sim.cpu.spawn_hog(SimTime::ZERO, "stress", &mut out);
         route(out, &mut sim, &mut eng);
         let pinned = sim.cpu.spawn("pinned", Some(0));
-        let out = sim.cpu.submit(SimTime::ZERO, pinned, 1_000, 4);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, pinned, 1_000, 4, &mut out);
         route(out, &mut sim, &mut eng);
         // Core 1 is idle but the pinned proc cannot use it; it waits for
         // core 0's slice to end (no preemption: vruntime gap too small).
@@ -734,9 +777,11 @@ mod tests {
         let mut eng = Engine::new();
         let a = sim.cpu.spawn("a", None);
         let b = sim.cpu.spawn("b", None);
-        let out = sim.cpu.submit(SimTime::ZERO, a, 100_000, 1);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, a, 100_000, 1, &mut out);
         route(out, &mut sim, &mut eng);
-        let out = sim.cpu.submit(SimTime::ZERO, b, 100_000, 2);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, b, 100_000, 2, &mut out);
         route(out, &mut sim, &mut eng);
         eng.run(&mut sim);
         assert_eq!(sim.done.len(), 2);
@@ -753,7 +798,8 @@ mod tests {
         let mut eng = Engine::new();
         let pid = sim.cpu.spawn("w", None);
         for tag in 1..=3 {
-            let out = sim.cpu.submit(SimTime::ZERO, pid, 5_000, tag);
+            let mut out = Vec::new();
+            sim.cpu.submit(SimTime::ZERO, pid, 5_000, tag, &mut out);
             route(out, &mut sim, &mut eng);
         }
         eng.run(&mut sim);
@@ -770,7 +816,8 @@ mod tests {
         };
         let mut eng = Engine::new();
         let pid = sim.cpu.spawn("w", None);
-        let out = sim.cpu.submit(SimTime::ZERO, pid, 1_000_000, 1);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, pid, 1_000_000, 1, &mut out);
         route(out, &mut sim, &mut eng);
         eng.run(&mut sim);
         let now = eng.now();
@@ -792,7 +839,10 @@ mod tests {
         };
         let mut eng = Engine::new();
         for i in 0..8 {
-            let (_h, out) = sim.cpu.spawn_hog(SimTime::ZERO, &format!("hog{i}"));
+            let mut out = Vec::new();
+            let _h = sim
+                .cpu
+                .spawn_hog(SimTime::ZERO, &format!("hog{i}"), &mut out);
             route(out, &mut sim, &mut eng);
         }
         let pid = sim.cpu.spawn("victim", None);
@@ -800,7 +850,8 @@ mod tests {
             if n == 0 {
                 return;
             }
-            let out = sim.cpu.submit(eng.now(), pid, 5_000, n as u64);
+            let mut out = Vec::new();
+            sim.cpu.submit(eng.now(), pid, 5_000, n as u64, &mut out);
             route(out, sim, eng);
             eng.schedule(SimDuration::from_millis(7), move |sim: &mut Sim, eng| {
                 wake_loop(pid, n - 1, sim, eng);
@@ -825,17 +876,16 @@ mod tests {
     fn stale_timers_are_ignored() {
         let mut cpu = HostCpu::new(profile(1));
         let pid = cpu.spawn("w", None);
-        let out = cpu.submit(SimTime::ZERO, pid, 10_000, 1);
+        let mut out = Vec::new();
+        cpu.submit(SimTime::ZERO, pid, 10_000, 1, &mut out);
         let CpuOutput::Timer { core, gen, .. } = out[0] else {
             panic!("expected timer");
         };
         // A stale generation must produce no outputs and not panic.
-        assert!(cpu
-            .on_timer(SimTime::from_nanos(1), core, gen + 5)
-            .is_empty());
-        assert!(cpu
-            .on_timer(SimTime::from_nanos(1), core, gen.wrapping_sub(1))
-            .is_empty());
+        out.clear();
+        cpu.on_timer(SimTime::from_nanos(1), core, gen + 5, &mut out);
+        cpu.on_timer(SimTime::from_nanos(1), core, gen.wrapping_sub(1), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -846,7 +896,8 @@ mod tests {
         };
         let mut eng = Engine::new();
         let pid = sim.cpu.spawn("w", None);
-        let out = sim.cpu.submit(SimTime::ZERO, pid, 10_000, 1);
+        let mut out = Vec::new();
+        sim.cpu.submit(SimTime::ZERO, pid, 10_000, 1, &mut out);
         route(out, &mut sim, &mut eng);
         eng.run(&mut sim);
         assert!(sim.cpu.ctx_switches() > 0);

@@ -17,7 +17,8 @@ fn route(out: Vec<CpuOutput>, sim: &mut Sim, eng: &mut Engine<Sim>) {
         match o {
             CpuOutput::Timer { core, gen, at } => {
                 eng.schedule_at(at, move |sim: &mut Sim, eng| {
-                    let out = sim.cpu.on_timer(eng.now(), core, gen);
+                    let mut out = Vec::new();
+                    sim.cpu.on_timer(eng.now(), core, gen, &mut out);
                     route(out, sim, eng);
                 });
             }
@@ -57,7 +58,8 @@ proptest! {
             let tag = i as u64;
             let work = work_us * 1000;
             eng.schedule_at(SimTime::from_nanos(at_us * 1000), move |sim: &mut Sim, eng| {
-                let out = sim.cpu.submit(eng.now(), pid, work, tag);
+                let mut out = Vec::new();
+                sim.cpu.submit(eng.now(), pid, work, tag, &mut out);
                 route(out, sim, eng);
             });
         }
@@ -92,7 +94,8 @@ proptest! {
         let mut eng: Engine<Sim> = Engine::new();
         let pid = sim.cpu.spawn("fifo", None);
         for (i, w) in works.iter().enumerate() {
-            let out = sim.cpu.submit(SimTime::ZERO, pid, w * 1000, i as u64);
+            let mut out = Vec::new();
+                sim.cpu.submit(SimTime::ZERO, pid, w * 1000, i as u64, &mut out);
             route(out, &mut sim, &mut eng);
         }
         eng.run(&mut sim);
@@ -116,13 +119,17 @@ fn exclusive_core_shields_pinned_process() {
     let mut eng: Engine<Sim> = Engine::new();
     sim.cpu.set_exclusive(0, true);
     for i in 0..4 {
-        let (_pid, out) = sim.cpu.spawn_hog(SimTime::ZERO, &format!("hog{i}"));
+        let mut out = Vec::new();
+        let _pid = sim
+            .cpu
+            .spawn_hog(SimTime::ZERO, &format!("hog{i}"), &mut out);
         route(out, &mut sim, &mut eng);
     }
     let pinned = sim.cpu.spawn("pinned", Some(0));
     // Submit at t=5ms: core 0 must be free for the pinned proc at once.
     eng.schedule_at(SimTime::from_nanos(5_000_000), move |sim: &mut Sim, eng| {
-        let out = sim.cpu.submit(eng.now(), pinned, 10_000, 9);
+        let mut out = Vec::new();
+        sim.cpu.submit(eng.now(), pinned, 10_000, 9, &mut out);
         route(out, sim, eng);
     });
     eng.run_until(&mut sim, SimTime::from_nanos(10_000_000));

@@ -129,6 +129,19 @@ impl NvmArena {
         Ok(())
     }
 
+    /// Copy `len` bytes from `src` to `dst` inside the arena (a local
+    /// DMA or `memcpy`; the ranges may overlap). Volatile like
+    /// [`NvmArena::write`], and nothing is written unless both ranges
+    /// are in bounds.
+    pub fn copy(&mut self, src: u64, dst: u64, len: usize) -> Result<(), MemError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        let src = src as usize;
+        self.current.copy_within(src..src + len, dst as usize);
+        self.dirty.insert(dst, dst + len as u64);
+        Ok(())
+    }
+
     /// Write a little-endian `u64` (volatile, like [`NvmArena::write`]).
     pub fn write_u64(&mut self, addr: u64, v: u64) -> Result<(), MemError> {
         self.write(addr, &v.to_le_bytes())
@@ -234,6 +247,23 @@ mod tests {
         assert_eq!(m.read(100, 5).unwrap(), b"hello");
         assert!(!m.is_durable(100, 5));
         assert_eq!(m.read_durable(100, 5).unwrap(), &[0; 5]);
+    }
+
+    #[test]
+    fn copy_moves_bytes_volatile_and_checks_both_ranges() {
+        let mut m = NvmArena::new(64);
+        m.write(0, b"abcdefgh").unwrap();
+        m.flush(0, 8).unwrap();
+        // Overlapping ranges behave like a read followed by a write.
+        m.copy(0, 4, 8).unwrap();
+        assert_eq!(m.read(0, 12).unwrap(), b"abcdabcdefgh");
+        assert!(m.is_durable(0, 4));
+        assert!(!m.is_durable(4, 8));
+        // Out of bounds on either side: an error, and nothing written.
+        assert!(m.copy(60, 0, 8).is_err());
+        assert!(m.copy(0, 60, 8).is_err());
+        assert_eq!(m.read(0, 12).unwrap(), b"abcdabcdefgh");
+        assert_eq!(m.read(56, 8).unwrap(), &[0; 8]);
     }
 
     #[test]

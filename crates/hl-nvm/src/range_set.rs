@@ -50,24 +50,25 @@ impl RangeSet {
     }
 
     /// Remove `[start, end)` from the set, splitting ranges as needed.
+    /// In place: only the ranges overlapping `[start, end)` are touched,
+    /// and the set allocates only if a split outgrows its capacity.
     pub fn remove(&mut self, start: u64, end: u64) {
-        if start >= end || self.ranges.is_empty() {
+        if start >= end {
             return;
         }
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &(s, e) in &self.ranges {
-            if e <= start || s >= end {
-                out.push((s, e));
-                continue;
-            }
-            if s < start {
-                out.push((s, start));
-            }
-            if e > end {
-                out.push((end, e));
-            }
+        // Overlapping window: ranges ending after `start` and starting
+        // before `end`. Only its first range can keep a piece on the
+        // left, and only its last a piece on the right.
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        let hi = self.ranges.partition_point(|&(s, _)| s < end);
+        if lo >= hi {
+            return;
         }
-        self.ranges = out;
+        let (first_start, _) = self.ranges[lo];
+        let (_, last_end) = self.ranges[hi - 1];
+        let left = (first_start < start).then_some((first_start, start));
+        let right = (last_end > end).then_some((end, last_end));
+        self.ranges.splice(lo..hi, left.into_iter().chain(right));
     }
 
     /// Does the set intersect `[start, end)`?
@@ -90,20 +91,15 @@ impl RangeSet {
             .is_some_and(|&(s, e)| s <= start && end <= e)
     }
 
-    /// Intersection of the set with `[start, end)`, as concrete ranges.
-    pub fn intersection(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for &(s, e) in &self.ranges {
-            let lo = s.max(start);
-            let hi = e.min(end);
-            if lo < hi {
-                out.push((lo, hi));
-            }
-            if s >= end {
-                break;
-            }
-        }
-        out
+    /// Intersection of the set with `[start, end)`, as concrete ranges
+    /// in ascending order (an iterator: nothing is allocated).
+    pub fn intersection(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let lo = self.ranges.partition_point(|&(_, e)| e <= start);
+        self.ranges[lo..]
+            .iter()
+            .take_while(move |&&(s, _)| s < end)
+            .map(move |&(s, e)| (s.max(start), e.min(end)))
+            .filter(|&(l, h)| l < h)
     }
 
     /// Iterate all ranges.
@@ -186,7 +182,12 @@ mod tests {
         assert!(rs.contains(12, 18));
         assert!(!rs.contains(12, 25));
         assert!(!rs.contains(25, 28));
-        assert_eq!(rs.intersection(15, 35), vec![(15, 20), (30, 35)]);
+        assert_eq!(
+            rs.intersection(15, 35).collect::<Vec<_>>(),
+            vec![(15, 20), (30, 35)]
+        );
+        assert_eq!(rs.intersection(20, 30).count(), 0);
+        assert_eq!(rs.intersection(35, 12).count(), 0);
     }
 
     #[test]
@@ -229,6 +230,11 @@ mod tests {
             rs.covered_bytes(),
             bits.iter().filter(|&&b| b).count() as u64
         );
+        for (a, b) in [(0, N as u64), (7, 23), (31, 32), (40, 10)] {
+            let got: u64 = rs.intersection(a, b).map(|(l, h)| h - l).sum();
+            let want = (a..b.max(a)).filter(|&i| bits[i as usize]).count() as u64;
+            assert_eq!(got, want, "intersection of [{a}, {b})");
+        }
     }
 
     proptest! {

@@ -2,9 +2,13 @@
 //!
 //! One [`Nic`] per host. The NIC is a pure state machine: every entry
 //! point takes the current time and the host's [`NvmArena`], mutates NIC
-//! and memory state, and returns [`NicOutput`]s — packets to transmit,
-//! completions to deliver, and deferred local operations — each stamped
-//! with an absolute time. The cluster layer turns outputs into events.
+//! and memory state, and appends [`NicOutput`]s — packets to transmit,
+//! completions to deliver, and deferred local operations, each stamped
+//! with an absolute time — to a caller-owned `out` buffer. The cluster
+//! layer reuses its buffers and turns the outputs into events, so the
+//! datapath allocates no output `Vec` per call. Outputs are appended in
+//! causal order; a caller that passes a non-empty buffer finds its
+//! earlier entries untouched.
 //!
 //! ## Send-queue semantics
 //!
@@ -223,6 +227,9 @@ pub struct Nic {
     srqs: Vec<std::collections::VecDeque<RecvWqe>>,
     /// Per-CQ list of QPs parked on an unsatisfied WAIT.
     waiters: Vec<Vec<u32>>,
+    /// Empty list swapped in for a CQ's parked list while
+    /// [`Nic::deliver_cqe`] resumes its QPs.
+    spare_waiters: Vec<u32>,
     inflight: Vec<Option<Inflight>>,
     rng: RngStream,
     counters: NicCounters,
@@ -251,6 +258,7 @@ impl Nic {
             cqs: Vec::new(),
             srqs: Vec::new(),
             waiters: Vec::new(),
+            spare_waiters: Vec::new(),
             inflight: Vec::new(),
             rng,
             counters: NicCounters::default(),
@@ -457,12 +465,18 @@ impl Nic {
     /// Acknowledge a send-queue error ([`QpState::Sqe`]) and resume the
     /// QP. No-op in other states: [`QpState::Error`] is unrecoverable
     /// (tear down and reconnect, as with real RC).
-    pub fn recover_qp(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn recover_qp(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.qps[qpn as usize].state != QpState::Sqe {
-            return Vec::new();
+            return;
         }
         self.qps[qpn as usize].state = QpState::Rts;
-        self.advance_sq(now, qpn, mem)
+        self.advance_sq(now, qpn, mem, out);
     }
 
     /// Stall or un-stall the whole NIC (fault injection: hung adapter).
@@ -470,22 +484,26 @@ impl Nic {
     /// send engine does not run; reliable peers keep retransmitting into
     /// the void and eventually error out. Un-stalling kicks every send
     /// queue and immediately retransmits any unacked reliable requests.
-    pub fn set_stalled(&mut self, now: SimTime, on: bool, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn set_stalled(
+        &mut self,
+        now: SimTime,
+        on: bool,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled == on {
-            return Vec::new();
+            return;
         }
         self.stalled = on;
         if on {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for qpn in 0..self.qps.len() as u32 {
-            out.extend(self.advance_sq(now, qpn, mem));
+            self.advance_sq(now, qpn, mem, out);
             if !self.qps[qpn as usize].unacked.is_empty() {
-                out.extend(self.retransmit_all(now, qpn));
+                self.retransmit_all(now, qpn, out);
             }
         }
-        out
     }
 
     /// Is the NIC currently stalled?
@@ -503,23 +521,22 @@ impl Nic {
         now: SimTime,
         on: bool,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.wait_stalled == on {
-            return Vec::new();
+            return;
         }
         self.wait_stalled = on;
         if on {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for cq in 0..self.waiters.len() {
             let parked = std::mem::take(&mut self.waiters[cq]);
             for qpn in parked {
                 self.qps[qpn as usize].parked = false;
-                out.extend(self.advance_sq(now, qpn, mem));
+                self.advance_sq(now, qpn, mem, out);
             }
         }
-        out
     }
 
     /// Is WAIT triggering currently broken?
@@ -604,10 +621,16 @@ impl Nic {
     }
 
     /// Ring the doorbell: kick the send engine.
-    pub fn ring_doorbell(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn ring_doorbell(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         self.counters.doorbells += 1;
         let t = now + self.profile.doorbell;
-        self.advance_sq(t, qpn, mem)
+        self.advance_sq(t, qpn, mem, out);
     }
 
     /// Poll completions (CPU verb; CPU cost is accounted by the caller).
@@ -634,18 +657,17 @@ impl Nic {
     // ----- send engine ----------------------------------------------------
 
     /// Advance a QP's send queue as far as possible.
-    fn advance_sq(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn advance_sq(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena, out: &mut Vec<NicOutput>) {
         if self.stalled {
-            return Vec::new();
+            return;
         }
         match self.qps[qpn as usize].state {
             QpState::Rts => {}
             // SQE: halted until software calls recover_qp.
-            QpState::Sqe => return Vec::new(),
+            QpState::Sqe => return,
             // Error: everything posted flushes without executing.
-            QpState::Error => return self.flush_sq_in_error(now, qpn, mem),
+            QpState::Error => return self.flush_sq_in_error(now, qpn, mem, out),
         }
-        let mut out = Vec::new();
         // The engine is serialized per QP.
         let mut t = now.max(self.qps[qpn as usize].busy_until);
         loop {
@@ -749,18 +771,23 @@ impl Nic {
             self.counters.wqes_executed += 1;
             self.ev(t, wqe.op, NicEventKind::Fetch { qpn });
             t += self.jit(self.profile.wqe_process);
-            out.extend(self.execute(t, qpn, wqe, mem));
+            self.execute(t, qpn, wqe, mem, out);
         }
         self.qps[qpn as usize].busy_until = t;
-        out
     }
 
     /// Execute one non-WAIT WQE at time `t`.
-    fn execute(&mut self, t: SimTime, qpn: u32, wqe: Wqe, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn execute(
+        &mut self,
+        t: SimTime,
+        qpn: u32,
+        wqe: Wqe,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &self.qps[qpn as usize];
         let send_cq = qp.send_cq;
         let remote = qp.remote;
-        let mut out = Vec::new();
         match wqe.opcode {
             Opcode::Nop => {
                 // Always completes locally (the gCAS execute map relies
@@ -780,19 +807,21 @@ impl Nic {
                 });
             }
             Opcode::Send => {
-                let Ok(gather) = mem.read_vec(wqe.laddr, wqe.len as usize) else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                // One allocation: the payload is copied straight out of
+                // the arena into its shared buffer.
+                let Ok(gather) = mem.read(wqe.laddr, wqe.len as usize) else {
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
-                let data: hl_sim::Bytes = gather.into();
+                let data = hl_sim::Bytes::copy_from_slice(gather);
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
                 let kind = PacketKind::Send {
                     data,
                     wr_id: wqe.wr_id,
                     signaled: wqe.signaled(),
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -802,15 +831,18 @@ impl Nic {
                     wqe.signaled(),
                     wqe.len,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::Write | Opcode::WriteImm => {
-                let Ok(gather) = mem.read_vec(wqe.laddr, wqe.len as usize) else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                // One allocation: the payload is copied straight out of
+                // the arena into its shared buffer.
+                let Ok(gather) = mem.read(wqe.laddr, wqe.len as usize) else {
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
-                let data: hl_sim::Bytes = gather.into();
+                let data = hl_sim::Bytes::copy_from_slice(gather);
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
                 let kind = if wqe.opcode == Opcode::Write {
                     PacketKind::Write {
@@ -830,7 +862,7 @@ impl Nic {
                         signaled: wqe.signaled(),
                     }
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -840,11 +872,12 @@ impl Nic {
                     wqe.signaled(),
                     wqe.len,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::Read | Opcode::Flush | Opcode::Cas => {
                 let Some((dst, dst_qpn)) = remote else {
-                    return self.local_qp_fault(t, qpn, &wqe, mem);
+                    return self.local_qp_fault(t, qpn, &wqe, mem, out);
                 };
                 self.qps[qpn as usize].fenced = true;
                 self.inflight[qpn as usize] = Some(Inflight {
@@ -874,7 +907,7 @@ impl Nic {
                         wr_id: wqe.wr_id,
                     },
                 };
-                out.extend(self.tx_request(
+                self.tx_request(
                     t,
                     qpn,
                     dst,
@@ -884,7 +917,8 @@ impl Nic {
                     wqe.signaled(),
                     0,
                     wqe.op,
-                ));
+                    out,
+                );
             }
             Opcode::LocalCopy => {
                 let at = t + self.jit(self.profile.dma_time(wqe.len as usize));
@@ -903,7 +937,6 @@ impl Nic {
             // hl-lint: allow(panic-in-handler)
             Opcode::Wait => unreachable!("WAIT handled by the engine loop"),
         }
-        out
     }
 
     fn tx(&mut self, at: SimTime, dst_nic: u32, packet: Packet) -> NicOutput {
@@ -931,7 +964,8 @@ impl Nic {
         signaled: bool,
         byte_len: u32,
         op: u32,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         let id = self.id;
         let qp = &mut self.qps[qpn as usize];
         let Some(cfg) = qp.timeout else {
@@ -944,7 +978,8 @@ impl Nic {
                 op,
                 kind,
             };
-            return vec![self.tx(t, dst_nic, packet)];
+            out.push(self.tx(t, dst_nic, packet));
+            return;
         };
         let psn = qp.next_psn;
         qp.next_psn += 1;
@@ -957,7 +992,6 @@ impl Nic {
             op,
             kind,
         };
-        let mut out = Vec::new();
         let was_empty = qp.unacked.is_empty();
         qp.unacked.push_back(PendingTx {
             psn,
@@ -976,20 +1010,15 @@ impl Nic {
             });
         }
         out.push(self.tx(t, dst_nic, packet));
-        out
     }
 
     /// Go-back-N: retransmit every unacked request in order and re-arm
     /// the ack timer.
-    fn retransmit_all(&mut self, now: SimTime, qpn: u32) -> Vec<NicOutput> {
-        let pending: Vec<(u32, Packet)> = self.qps[qpn as usize]
-            .unacked
-            .iter()
-            .map(|p| (p.dst_nic, p.packet.clone()))
-            .collect();
-        let mut out = Vec::new();
+    fn retransmit_all(&mut self, now: SimTime, qpn: u32, out: &mut Vec<NicOutput>) {
         let mut t = now;
-        for (dst, pkt) in pending {
+        for i in 0..self.qps[qpn as usize].unacked.len() {
+            let p = &self.qps[qpn as usize].unacked[i];
+            let (dst, pkt) = (p.dst_nic, p.packet.clone());
             t += self.jit(self.profile.wqe_process);
             self.counters.retransmits += 1;
             out.push(self.tx(t, dst, pkt));
@@ -1003,7 +1032,6 @@ impl Nic {
                 gen: qp.timer_gen,
             });
         }
-        out
     }
 
     /// Ack-timeout expiry for a reliable QP. Stale generations (the
@@ -1014,25 +1042,26 @@ impl Nic {
         qpn: u32,
         gen: u64,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled {
             // A stalled NIC does not time out its own requests; un-stall
             // retransmits anything still pending.
-            return Vec::new();
+            return;
         }
         let qp = &self.qps[qpn as usize];
         if qp.timer_gen != gen || qp.unacked.is_empty() || qp.state == QpState::Error {
-            return Vec::new();
+            return;
         }
         let Some(cfg) = qp.timeout else {
-            return Vec::new();
+            return;
         };
         self.counters.timeouts += 1;
         self.qps[qpn as usize].retries += 1;
         if self.qps[qpn as usize].retries > cfg.retry_cnt {
-            return self.fatal_qp_error(now, qpn, mem);
+            return self.fatal_qp_error(now, qpn, mem, out);
         }
-        self.retransmit_all(now, qpn)
+        self.retransmit_all(now, qpn, out);
     }
 
     /// A local fault while executing a WQE — the gather range fell
@@ -1048,7 +1077,8 @@ impl Nic {
         qpn: u32,
         wqe: &Wqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &mut self.qps[qpn as usize];
         qp.state = QpState::Error;
         qp.timer_gen += 1;
@@ -1057,8 +1087,8 @@ impl Nic {
         let send_cq = qp.send_cq;
         let pending = std::mem::take(&mut qp.unacked);
         self.inflight[qpn as usize] = None;
-        let mut out = vec![NicOutput::CancelTimer { qpn }];
-        out.extend(self.deliver_cqe(
+        out.push(NicOutput::CancelTimer { qpn });
+        self.deliver_cqe(
             now,
             send_cq,
             Cqe {
@@ -1071,9 +1101,10 @@ impl Nic {
                 op: wqe.op,
             },
             mem,
-        ));
+            out,
+        );
         for p in pending.iter() {
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1086,10 +1117,10 @@ impl Nic {
                     op: p.packet.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.flush_sq_in_error(now, qpn, mem));
-        out
+        self.flush_sq_in_error(now, qpn, mem, out);
     }
 
     /// Retry budget exhausted: move the QP to Error and flush everything
@@ -1097,7 +1128,13 @@ impl Nic {
     /// the unacked list and every posted-but-unexecuted WQE complete
     /// `FlushedInError`. Error completions are delivered regardless of
     /// the signaled flag (as on real hardware).
-    fn fatal_qp_error(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
+    fn fatal_qp_error(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         let qp = &mut self.qps[qpn as usize];
         qp.state = QpState::Error;
         qp.timer_gen += 1;
@@ -1107,14 +1144,14 @@ impl Nic {
         let pending = std::mem::take(&mut qp.unacked);
         self.inflight[qpn as usize] = None;
         // The ack timer dies with the QP.
-        let mut out = vec![NicOutput::CancelTimer { qpn }];
+        out.push(NicOutput::CancelTimer { qpn });
         for (i, p) in pending.iter().enumerate() {
             let status = if i == 0 {
                 CqeStatus::RetryExceeded
             } else {
                 CqeStatus::FlushedInError
             };
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1127,17 +1164,22 @@ impl Nic {
                     op: p.packet.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.flush_sq_in_error(now, qpn, mem));
-        out
+        self.flush_sq_in_error(now, qpn, mem, out);
     }
 
     /// Flush every posted-but-unexecuted WQE of an Error-state QP with
     /// `FlushedInError` completions (also used for posts made after the
     /// transition, matching ibverbs flush semantics).
-    fn flush_sq_in_error(&mut self, now: SimTime, qpn: u32, mem: &mut NvmArena) -> Vec<NicOutput> {
-        let mut out = Vec::new();
+    fn flush_sq_in_error(
+        &mut self,
+        now: SimTime,
+        qpn: u32,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         loop {
             let qp = &self.qps[qpn as usize];
             if qp.sq.head >= qp.sq.tail {
@@ -1154,7 +1196,7 @@ impl Nic {
             self.qps[qpn as usize].sq.head += 1;
             #[cfg(feature = "check-ownership")]
             self.tracker.slot_cleared(qpn, head_idx);
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 now,
                 send_cq,
                 Cqe {
@@ -1167,9 +1209,9 @@ impl Nic {
                     op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out
     }
 
     /// Finish a loopback operation scheduled via [`NicOutput::DoLocal`].
@@ -1179,15 +1221,13 @@ impl Nic {
         qpn: u32,
         wqe: Wqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         // A descriptor scribbled out of the arena (or a DoLocal carrying
         // a non-local opcode) surfaces as a LocalProtection error CQE
         // instead of killing the simulated host.
         let ok = match wqe.opcode {
-            Opcode::LocalCopy => mem
-                .read_vec(wqe.laddr, wqe.len as usize)
-                .ok()
-                .is_some_and(|data| mem.write(wqe.raddr, &data).is_ok()),
+            Opcode::LocalCopy => mem.copy(wqe.laddr, wqe.raddr, wqe.len as usize).is_ok(),
             Opcode::LocalCas => mem
                 .compare_and_swap_u64(wqe.raddr, wqe.cmp, wqe.swp)
                 .ok()
@@ -1222,9 +1262,8 @@ impl Nic {
                     op: wqe.op,
                 },
                 mem,
-            )
-        } else {
-            Vec::new()
+                out,
+            );
         }
     }
 
@@ -1238,8 +1277,8 @@ impl Nic {
         cq: u32,
         cqe: Cqe,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
-        let mut out = Vec::new();
+        out: &mut Vec<NicOutput>,
+    ) {
         if cqe.status != CqeStatus::Ok {
             self.counters.error_cqes += 1;
         }
@@ -1252,22 +1291,35 @@ impl Nic {
             out.push(NicOutput::CqEvent { cq });
         }
         // Resume parked QPs; advance re-parks them if still unsatisfied.
-        let parked = std::mem::take(&mut self.waiters[cq as usize]);
-        for qpn in parked {
-            self.qps[qpn as usize].parked = false;
-            out.extend(self.advance_sq(now, qpn, mem));
+        if self.waiters[cq as usize].is_empty() {
+            return;
         }
-        out
+        // Swap the parked list out for the spare (empty) one, so both
+        // keep their capacity and a park/resume cycle allocates nothing.
+        let mut parked = std::mem::take(&mut self.spare_waiters);
+        std::mem::swap(&mut parked, &mut self.waiters[cq as usize]);
+        for &qpn in &parked {
+            self.qps[qpn as usize].parked = false;
+            self.advance_sq(now, qpn, mem, out);
+        }
+        parked.clear();
+        self.spare_waiters = parked;
     }
 
     // ----- receive path ----------------------------------------------------
 
     /// Handle an inbound packet.
-    pub fn on_packet(&mut self, now: SimTime, pkt: Packet, mem: &mut NvmArena) -> Vec<NicOutput> {
+    pub fn on_packet(
+        &mut self,
+        now: SimTime,
+        pkt: Packet,
+        mem: &mut NvmArena,
+        out: &mut Vec<NicOutput>,
+    ) {
         if self.stalled {
             // A hung adapter eats everything silently.
             self.counters.rx_dropped += 1;
-            return Vec::new();
+            return;
         }
         self.counters.rx_packets += 1;
         self.ev(now, pkt.op, NicEventKind::RxWire { src: pkt.src_nic });
@@ -1276,24 +1328,23 @@ impl Nic {
         let qp = &self.qps[qpn as usize];
         if qp.state == QpState::Error {
             self.counters.rx_dropped += 1;
-            return Vec::new();
+            return;
         }
         // Connection safety check (paper §7): only the connected peer may
         // talk to this QP.
         if qp.remote != Some((pkt.src_nic, pkt.src_qpn)) {
-            return self.refuse(t, &pkt, NakReason::NotConnected);
+            return self.refuse(t, &pkt, NakReason::NotConnected, out);
         }
         // Requester side: on a reliable QP every response acks
         // cumulatively — entries older than its PSN had their own
-        // responses lost, so synthesize their success completions; a
-        // response matching nothing pending is a stale duplicate.
-        let mut pre = Vec::new();
-        if qp.timeout.is_some() && Self::is_response(&pkt.kind) {
-            let (proceed, outs) = self.process_cum_ack(t, qpn, pkt.psn, mem);
-            if !proceed {
-                return outs;
-            }
-            pre = outs;
+        // responses lost, so synthesize their success completions
+        // (appended ahead of the response's own outputs); a response
+        // matching nothing pending is a stale duplicate.
+        if qp.timeout.is_some()
+            && Self::is_response(&pkt.kind)
+            && !self.process_cum_ack(t, qpn, pkt.psn, mem, out)
+        {
+            return;
         }
         // Responder side: expected-PSN enforcement for reliable requests.
         if pkt.reliable && !Self::is_response(&pkt.kind) {
@@ -1302,15 +1353,15 @@ impl Nic {
                 // Gap: an earlier request was lost; drop and let the
                 // requester's timer go-back-N.
                 self.counters.rx_dropped += 1;
-                return Vec::new();
+                return;
             }
             if pkt.psn < epsn {
                 // Duplicate of something already executed.
-                return self.replay_duplicate(t, &pkt);
+                return self.replay_duplicate(t, &pkt, out);
             }
             self.qps[qpn as usize].epsn += 1;
         }
-        let main = match pkt.kind.clone() {
+        match &pkt.kind {
             PacketKind::Write {
                 raddr,
                 rkey,
@@ -1320,8 +1371,8 @@ impl Nic {
             } => {
                 #[cfg(feature = "check-ownership")]
                 self.tracker.remote_access(
-                    rkey,
-                    raddr,
+                    *rkey,
+                    *raddr,
                     data.len() as u64,
                     pkt.src_nic,
                     pkt.src_qpn,
@@ -1329,20 +1380,20 @@ impl Nic {
                 );
                 if self
                     .mrs
-                    .check_remote(rkey, raddr, data.len() as u64, Access::REMOTE_WRITE)
+                    .check_remote(*rkey, *raddr, data.len() as u64, Access::REMOTE_WRITE)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
-                if mem.write(raddr, &data).is_err() {
+                if mem.write(*raddr, data).is_err() {
                     // MR registered beyond the arena: refuse rather than
                     // kill the simulated host.
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_write(raddr, &data, pkt.src_nic, pkt.src_qpn, t);
-                self.ack(t, &pkt, wr_id, signaled, data.len() as u32)
+                    .remote_write(*raddr, data, pkt.src_nic, pkt.src_qpn, t);
+                self.ack(t, &pkt, *wr_id, *signaled, data.len() as u32, out);
             }
             PacketKind::WriteImm {
                 raddr,
@@ -1354,8 +1405,8 @@ impl Nic {
             } => {
                 #[cfg(feature = "check-ownership")]
                 self.tracker.remote_access(
-                    rkey,
-                    raddr,
+                    *rkey,
+                    *raddr,
                     data.len() as u64,
                     pkt.src_nic,
                     pkt.src_qpn,
@@ -1363,22 +1414,22 @@ impl Nic {
                 );
                 if self
                     .mrs
-                    .check_remote(rkey, raddr, data.len() as u64, Access::REMOTE_WRITE)
+                    .check_remote(*rkey, *raddr, data.len() as u64, Access::REMOTE_WRITE)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
-                if mem.write(raddr, &data).is_err() {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                if mem.write(*raddr, data).is_err() {
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
                 #[cfg(feature = "check-ownership")]
                 self.tracker
-                    .remote_write(raddr, &data, pkt.src_nic, pkt.src_qpn, t);
+                    .remote_write(*raddr, data, pkt.src_nic, pkt.src_qpn, t);
                 let Some(recv) = self.pop_recv(qpn) else {
-                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady);
+                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady, out);
                 };
                 let recv_cq = self.qps[qpn as usize].recv_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     recv_cq,
                     Cqe {
@@ -1387,13 +1438,13 @@ impl Nic {
                         kind: CqeKind::RecvImm,
                         status: CqeStatus::Ok,
                         byte_len: data.len() as u32,
-                        imm,
+                        imm: *imm,
                         op: pkt.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.ack(t, &pkt, wr_id, signaled, data.len() as u32));
-                out
+                self.ack(t, &pkt, *wr_id, *signaled, data.len() as u32, out);
             }
             PacketKind::Send {
                 data,
@@ -1401,7 +1452,7 @@ impl Nic {
                 signaled,
             } => {
                 let Some(recv) = self.pop_recv(qpn) else {
-                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady);
+                    return self.refuse(t, &pkt, NakReason::ReceiverNotReady, out);
                 };
                 // Scatter the payload, possibly into pre-posted WQE
                 // descriptor fields — the heart of remote WQE
@@ -1425,11 +1476,11 @@ impl Nic {
                         // corrupted pre-posted descriptor; refuse the
                         // SEND (partial scatter may have landed, as with
                         // a mid-message fault on real hardware).
-                        return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                        return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                     }
                 }
                 let recv_cq = self.qps[qpn as usize].recv_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     recv_cq,
                     Cqe {
@@ -1442,11 +1493,11 @@ impl Nic {
                         op: pkt.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.ack(t, &pkt, wr_id, signaled, data.len() as u32));
-                out
+                self.ack(t, &pkt, *wr_id, *signaled, data.len() as u32, out);
             }
-            PacketKind::Read {
+            &PacketKind::Read {
                 raddr,
                 rkey,
                 len,
@@ -1460,21 +1511,18 @@ impl Nic {
                     .check_remote(rkey, raddr, len as u64, Access::REMOTE_READ)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
-                let Ok(data) = mem.read_vec(raddr, len as usize) else {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                let Ok(data) = mem.read(raddr, len as usize) else {
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 };
                 let kind = PacketKind::ReadResp {
-                    data: data.into(),
+                    data: hl_sim::Bytes::copy_from_slice(data),
                     wr_id,
                 };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_cached(t, &pkt, kind, out);
             }
-            PacketKind::Flush {
+            &PacketKind::Flush {
                 raddr,
                 rkey,
                 len,
@@ -1488,22 +1536,18 @@ impl Nic {
                     .check_remote(rkey, raddr, len as u64, Access::REMOTE_READ)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
                 // Drain the NIC cache for the range into the durable
                 // medium (the firmware feature of paper §4.2).
                 if mem.flush(raddr, len as usize).is_err() {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
                 self.counters.flushes += 1;
                 let t = t + self.profile.cache_flush;
-                let kind = PacketKind::FlushResp { wr_id };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_cached(t, &pkt, PacketKind::FlushResp { wr_id }, out);
             }
-            PacketKind::Cas {
+            &PacketKind::Cas {
                 raddr,
                 rkey,
                 cmp,
@@ -1518,45 +1562,41 @@ impl Nic {
                     .check_remote(rkey, raddr, 8, Access::REMOTE_ATOMIC)
                     .is_err()
                 {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 }
                 let Ok(orig) = mem.compare_and_swap_u64(raddr, cmp, swp) else {
-                    return self.refuse(t, &pkt, NakReason::RemoteAccess);
+                    return self.refuse(t, &pkt, NakReason::RemoteAccess, out);
                 };
-                let kind = PacketKind::CasResp { orig, wr_id };
-                if pkt.reliable {
-                    self.qps[qpn as usize].resp_cache = Some((pkt.psn, kind.clone()));
-                }
-                vec![self.respond(t, &pkt, kind)]
+                self.respond_cached(t, &pkt, PacketKind::CasResp { orig, wr_id }, out);
             }
             PacketKind::ReadResp { data, wr_id } => {
-                let Some(fl) = self.take_inflight(qpn, wr_id) else {
+                let Some(fl) = self.take_inflight(qpn, *wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
-                let status = if mem.write(fl.laddr, &data).is_ok() {
+                let status = if mem.write(fl.laddr, data).is_ok() {
                     // The response landing is itself a NIC DMA write
                     // into local memory — attribute it to the peer QP.
                     #[cfg(feature = "check-ownership")]
                     self.tracker
-                        .remote_write(fl.laddr, &data, pkt.src_nic, pkt.src_qpn, t);
+                        .remote_write(fl.laddr, data, pkt.src_nic, pkt.src_qpn, t);
                     CqeStatus::Ok
                 } else {
                     CqeStatus::LocalProtection
                 };
-                self.complete_fenced(t, qpn, fl, data.len() as u32, status, mem)
+                self.complete_fenced(t, qpn, fl, data.len() as u32, status, mem, out);
             }
-            PacketKind::FlushResp { wr_id } => {
+            &PacketKind::FlushResp { wr_id } => {
                 let Some(fl) = self.take_inflight(qpn, wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
-                self.complete_fenced(t, qpn, fl, 0, CqeStatus::Ok, mem)
+                self.complete_fenced(t, qpn, fl, 0, CqeStatus::Ok, mem, out);
             }
-            PacketKind::CasResp { orig, wr_id } => {
+            &PacketKind::CasResp { orig, wr_id } => {
                 let Some(fl) = self.take_inflight(qpn, wr_id) else {
                     self.counters.rx_dropped += 1;
-                    return pre;
+                    return;
                 };
                 let status = if mem.write_u64(fl.laddr, orig).is_ok() {
                     #[cfg(feature = "check-ownership")]
@@ -1571,9 +1611,9 @@ impl Nic {
                 } else {
                     CqeStatus::LocalProtection
                 };
-                self.complete_fenced(t, qpn, fl, 8, status, mem)
+                self.complete_fenced(t, qpn, fl, 8, status, mem, out);
             }
-            PacketKind::Ack {
+            &PacketKind::Ack {
                 wr_id,
                 signaled,
                 byte_len,
@@ -1593,12 +1633,11 @@ impl Nic {
                             op: pkt.op,
                         },
                         mem,
-                    )
-                } else {
-                    Vec::new()
+                        out,
+                    );
                 }
             }
-            PacketKind::Nak { wr_id, reason } => {
+            &PacketKind::Nak { wr_id, reason } => {
                 // Error completion; clear the fence only if the refused
                 // operation *is* the fencing one (a NAK for an earlier
                 // SEND must not unblock an in-flight READ/FLUSH/CAS).
@@ -1619,7 +1658,7 @@ impl Nic {
                     self.qps[qpn as usize].state = QpState::Sqe;
                 }
                 let cq = self.qps[qpn as usize].send_cq;
-                let mut out = self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     cq,
                     Cqe {
@@ -1632,13 +1671,11 @@ impl Nic {
                         op: pkt.op,
                     },
                     mem,
+                    out,
                 );
-                out.extend(self.advance_sq(t, qpn, mem));
-                out
+                self.advance_sq(t, qpn, mem, out);
             }
-        };
-        pre.extend(main);
-        pre
+        }
     }
 
     /// Is this packet kind a response (requester-bound)?
@@ -1657,15 +1694,15 @@ impl Nic {
     /// delivery of every older pending request (their acks were lost) —
     /// pop them with synthesized success completions, then pop the
     /// matching entry itself for the caller's normal response handling.
-    /// Returns `(false, ..)` for a stale duplicate that matches nothing.
+    /// Returns `false` for a stale duplicate that matches nothing.
     fn process_cum_ack(
         &mut self,
         t: SimTime,
         qpn: u32,
         psn: u64,
         mem: &mut NvmArena,
-    ) -> (bool, Vec<NicOutput>) {
-        let mut out = Vec::new();
+        out: &mut Vec<NicOutput>,
+    ) -> bool {
         let mut progressed = false;
         loop {
             match self.qps[qpn as usize].unacked.front() {
@@ -1678,7 +1715,7 @@ impl Nic {
             progressed = true;
             if p.signaled {
                 let cq = self.qps[qpn as usize].send_cq;
-                out.extend(self.deliver_cqe(
+                self.deliver_cqe(
                     t,
                     cq,
                     Cqe {
@@ -1691,7 +1728,8 @@ impl Nic {
                         op: p.packet.op,
                     },
                     mem,
-                ));
+                    out,
+                );
             }
         }
         let matched = self.qps[qpn as usize]
@@ -1722,18 +1760,20 @@ impl Nic {
         if !matched {
             self.counters.rx_dropped += 1;
         }
-        (matched, out)
+        matched
     }
 
     /// Responder-side handling of a duplicate reliable request
     /// (PSN below the expected one): it already executed, so re-ack /
     /// replay the cached response without re-executing. This is what
     /// keeps RECV consumption and CAS exactly-once under retransmission.
-    fn replay_duplicate(&mut self, t: SimTime, pkt: &Packet) -> Vec<NicOutput> {
+    fn replay_duplicate(&mut self, t: SimTime, pkt: &Packet, out: &mut Vec<NicOutput>) {
         let qpn = pkt.dst_qpn as usize;
-        if let Some((psn, kind)) = self.qps[qpn].resp_cache.clone() {
-            if psn == pkt.psn {
-                return vec![self.respond(t, pkt, kind)];
+        if let Some((psn, kind)) = &self.qps[qpn].resp_cache {
+            if *psn == pkt.psn {
+                let kind = kind.clone();
+                out.push(self.respond(t, pkt, kind));
+                return;
             }
         }
         match &pkt.kind {
@@ -1753,12 +1793,11 @@ impl Nic {
                 data,
                 wr_id,
                 signaled,
-            } => self.ack(t, pkt, *wr_id, *signaled, data.len() as u32),
+            } => self.ack(t, pkt, *wr_id, *signaled, data.len() as u32, out),
             _ => {
                 // A fencing duplicate older than the replay cache: the
                 // requester has already consumed its response.
                 self.counters.rx_dropped += 1;
-                Vec::new()
             }
         }
     }
@@ -1779,6 +1818,7 @@ impl Nic {
     /// Clear the fence, deliver the completion, resume the SQ. Error
     /// statuses are delivered regardless of the signaled flag (as on
     /// real hardware).
+    #[allow(clippy::too_many_arguments)]
     fn complete_fenced(
         &mut self,
         t: SimTime,
@@ -1787,12 +1827,12 @@ impl Nic {
         byte_len: u32,
         status: CqeStatus,
         mem: &mut NvmArena,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         self.qps[qpn as usize].fenced = false;
-        let mut out = Vec::new();
         if fl.signaled || status != CqeStatus::Ok {
             let cq = self.qps[qpn as usize].send_cq;
-            out.extend(self.deliver_cqe(
+            self.deliver_cqe(
                 t,
                 cq,
                 Cqe {
@@ -1805,10 +1845,10 @@ impl Nic {
                     op: fl.op,
                 },
                 mem,
-            ));
+                out,
+            );
         }
-        out.extend(self.advance_sq(t, qpn, mem));
-        out
+        self.advance_sq(t, qpn, mem, out);
     }
 
     fn ack(
@@ -1818,19 +1858,17 @@ impl Nic {
         wr_id: u64,
         signaled: bool,
         byte_len: u32,
-    ) -> Vec<NicOutput> {
-        vec![self.respond(
-            t,
-            pkt,
-            PacketKind::Ack {
-                wr_id,
-                signaled,
-                byte_len,
-            },
-        )]
+        out: &mut Vec<NicOutput>,
+    ) {
+        let kind = PacketKind::Ack {
+            wr_id,
+            signaled,
+            byte_len,
+        };
+        out.push(self.respond(t, pkt, kind));
     }
 
-    fn refuse(&mut self, t: SimTime, pkt: &Packet, reason: NakReason) -> Vec<NicOutput> {
+    fn refuse(&mut self, t: SimTime, pkt: &Packet, reason: NakReason, out: &mut Vec<NicOutput>) {
         self.counters.naks_sent += 1;
         let wr_id = match &pkt.kind {
             PacketKind::Write { wr_id, .. }
@@ -1840,9 +1878,25 @@ impl Nic {
             | PacketKind::Flush { wr_id, .. }
             | PacketKind::Cas { wr_id, .. } => *wr_id,
             // Never NAK a response/ack: drop it instead.
-            _ => return Vec::new(),
+            _ => return,
         };
-        vec![self.respond(t, pkt, PacketKind::Nak { wr_id, reason })]
+        out.push(self.respond(t, pkt, PacketKind::Nak { wr_id, reason }));
+    }
+
+    /// Respond to a fencing request, keeping the response in the QP's
+    /// one-deep replay cache when the request came over the reliable
+    /// transport.
+    fn respond_cached(
+        &mut self,
+        t: SimTime,
+        req: &Packet,
+        kind: PacketKind,
+        out: &mut Vec<NicOutput>,
+    ) {
+        if req.reliable {
+            self.qps[req.dst_qpn as usize].resp_cache = Some((req.psn, kind.clone()));
+        }
+        out.push(self.respond(t, req, kind));
     }
 
     fn respond(&mut self, t: SimTime, req: &Packet, kind: PacketKind) -> NicOutput {

@@ -73,7 +73,7 @@ fn forged_ownership_flag_is_flagged_at_fetch() {
     let slot = nic.sq_slot_addr(qp, idx);
     let f = mem.read(slot + 1, 1).unwrap()[0];
     mem.write(slot + 1, &[f | flags::HW_OWNED]).unwrap();
-    nic.ring_doorbell(T1, qp, &mut mem);
+    nic.ring_doorbell(T1, qp, &mut mem, &mut Vec::new());
     assert!(
         matches!(
             nic.race_violations(),
@@ -113,7 +113,7 @@ fn granted_and_doorbell_posts_are_clean() {
         false,
     )
     .unwrap();
-    nic.ring_doorbell(T1, qp, &mut mem);
+    nic.ring_doorbell(T1, qp, &mut mem, &mut Vec::new());
     assert!(nic.race_violations().is_empty());
 }
 
@@ -146,6 +146,7 @@ fn scatter_into_granted_slot_is_flagged() {
         T1,
         write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &8u32.to_le_bytes()),
         &mut mem,
+        &mut Vec::new(),
     );
     assert!(
         nic.race_violations().is_empty(),
@@ -157,6 +158,7 @@ fn scatter_into_granted_slot_is_flagged() {
         T2,
         write_pkt(1, 9, qp, slot + 4, ring_mr.rkey, &16u32.to_le_bytes()),
         &mut mem,
+        &mut Vec::new(),
     );
     assert!(
         matches!(
@@ -192,11 +194,13 @@ fn concurrent_overlapping_dma_is_flagged() {
         T1,
         write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xaa; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     nic.on_packet(
         T2,
         write_pkt(2, 0, qp_b, 0x8020, mr.rkey, &[0xbb; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     assert!(
         matches!(
@@ -229,11 +233,13 @@ fn completion_or_identical_bytes_make_overlap_legal() {
         T1,
         write_pkt(1, 0, qp_a, 0x8000, mr.rkey, &[0xcc; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     nic.on_packet(
         T2,
         write_pkt(2, 0, qp_b, 0x8000, mr.rkey, &[0xcc; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     assert!(nic.race_violations().is_empty());
 
@@ -242,6 +248,7 @@ fn completion_or_identical_bytes_make_overlap_legal() {
         T1,
         write_pkt(1, 0, qp_a, 0x9000, mr.rkey, &[0x11; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     nic.deliver_cqe(
         T2,
@@ -256,11 +263,13 @@ fn completion_or_identical_bytes_make_overlap_legal() {
             op: 0,
         },
         &mut mem,
+        &mut Vec::new(),
     );
     nic.on_packet(
         T2,
         write_pkt(2, 0, qp_b, 0x9000, mr.rkey, &[0x22; 64]),
         &mut mem,
+        &mut Vec::new(),
     );
     assert!(nic.race_violations().is_empty());
 }
@@ -277,7 +286,13 @@ fn use_after_deregister_is_flagged_and_refused() {
     assert!(nic.deregister_mr(T1, mr.rkey));
     assert!(!nic.deregister_mr(T1, mr.rkey), "double deregister");
 
-    let outs = nic.on_packet(T2, write_pkt(1, 0, qp, 0x4000, mr.rkey, &[1; 16]), &mut mem);
+    let mut outs = Vec::new();
+    nic.on_packet(
+        T2,
+        write_pkt(1, 0, qp, 0x4000, mr.rkey, &[1; 16]),
+        &mut mem,
+        &mut outs,
+    );
     assert!(
         matches!(
             nic.race_violations(),

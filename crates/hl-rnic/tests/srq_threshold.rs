@@ -37,30 +37,35 @@ fn route(nic: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                 packet,
             } => {
                 eng.schedule_at(at + LINK, move |w: &mut World, eng| {
-                    let outs = w.nics[dst_nic as usize].on_packet(
+                    let mut outs = Vec::new();
+                    w.nics[dst_nic as usize].on_packet(
                         eng.now(),
                         packet,
                         &mut w.mems[dst_nic as usize],
+                        &mut outs,
                     );
                     route(dst_nic as usize, outs, eng);
                 });
             }
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
             NicOutput::CqEvent { .. } => {}
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
@@ -127,7 +132,8 @@ fn srq_serializes_two_senders() {
         eng.schedule_at(
             SimTime::from_nanos(delay_us * 1000),
             move |w: &mut World, eng| {
-                let outs = w.nics[src].ring_doorbell(eng.now(), s_qp, &mut w.mems[src]);
+                let mut outs = Vec::new();
+                w.nics[src].ring_doorbell(eng.now(), s_qp, &mut w.mems[src], &mut outs);
                 route(src, outs, eng);
             },
         );
@@ -176,7 +182,8 @@ fn threshold_waits_share_a_cq() {
             ..Default::default()
         };
         w.nics[1].post_send(&mut w.mems[1], qp, nop, true).unwrap();
-        let outs = w.nics[1].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[1]);
+        let mut outs = Vec::new();
+        w.nics[1].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[1], &mut outs);
         route(1, outs, &mut eng);
         nop_cqs.push(cq);
     }
@@ -199,7 +206,8 @@ fn threshold_waits_share_a_cq() {
         w.nics[0]
             .post_send(&mut w.mems[0], qp0, wqe, false)
             .unwrap();
-        let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+        let mut outs = Vec::new();
+        w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
         route(0, outs, eng);
     };
 
@@ -253,7 +261,8 @@ fn private_rq_unaffected_by_srq_presence() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x9000, 4).unwrap(), b"priv");

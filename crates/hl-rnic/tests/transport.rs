@@ -51,26 +51,30 @@ fn route(nic: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                         w.rx_drop[d] -= 1;
                         return; // lost on the wire
                     }
-                    let outs = w.nics[d].on_packet(eng.now(), packet, &mut w.mems[d]);
+                    let mut outs = Vec::new();
+                    w.nics[d].on_packet(eng.now(), packet, &mut w.mems[d], &mut outs);
                     route(d, outs, eng);
                 });
             }
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
             NicOutput::CqEvent { .. } => {}
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic]);
+                    let mut outs = Vec::new();
+                    w.nics[nic].on_timer(eng.now(), qpn, gen, &mut w.mems[nic], &mut outs);
                     route(nic, outs, eng);
                 });
             }
@@ -133,7 +137,8 @@ fn lost_write_is_retransmitted() {
 
     w.rx_drop[1] = 1; // eat the write itself
     post_write(&mut w, qp0, mr.rkey, b"retransmit me", 0x8000, 0x8000, 7);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -180,7 +185,8 @@ fn lost_ack_does_not_double_deliver() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -217,7 +223,8 @@ fn cas_is_exactly_once_under_lost_response() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp0, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -242,7 +249,8 @@ fn retry_exhaustion_flushes_the_qp() {
     w.rx_drop[1] = u32::MAX; // peer is gone for good
     post_write(&mut w, qp0, mr.rkey, b"aa", 0x8000, 0x8000, 1);
     post_write(&mut w, qp0, mr.rkey, b"bb", 0x8010, 0x8010, 2);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -259,7 +267,8 @@ fn retry_exhaustion_flushes_the_qp() {
 
     // Posting after the transition: flushed on the next doorbell.
     post_write(&mut w, qp0, mr.rkey, b"cc", 0x8020, 0x8020, 3);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(
@@ -278,18 +287,21 @@ fn stall_window_recovers_without_error() {
     let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Stall the responder NIC now; un-stall after 3 timeout periods.
-    let outs = w.nics[1].set_stalled(eng.now(), true, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].set_stalled(eng.now(), true, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
     eng.schedule_at(
         SimTime::from_nanos(3 * TIMEOUT.as_nanos()),
         |w: &mut World, eng| {
-            let outs = w.nics[1].set_stalled(eng.now(), false, &mut w.mems[1]);
+            let mut outs = Vec::new();
+            w.nics[1].set_stalled(eng.now(), false, &mut w.mems[1], &mut outs);
             route(1, outs, eng);
         },
     );
 
     post_write(&mut w, qp0, mr.rkey, b"survives", 0x8000, 0x8000, 4);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -311,16 +323,19 @@ fn stalled_sender_resumes_on_unstall() {
     // The request goes out, then the *sender* stalls so the ack is
     // eaten; with retry_cnt=1 an un-suppressed timer would error out.
     post_write(&mut w, qp0, mr.rkey, b"parked", 0x8000, 0x8000, 5);
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp0, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.schedule_at(SimTime::from_nanos(200), |w: &mut World, eng| {
-        let outs = w.nics[0].set_stalled(eng.now(), true, &mut w.mems[0]);
+        let mut outs = Vec::new();
+        w.nics[0].set_stalled(eng.now(), true, &mut w.mems[0], &mut outs);
         route(0, outs, eng);
     });
     eng.schedule_at(
         SimTime::from_nanos(10 * TIMEOUT.as_nanos()),
         |w: &mut World, eng| {
-            let outs = w.nics[0].set_stalled(eng.now(), false, &mut w.mems[0]);
+            let mut outs = Vec::new();
+            w.nics[0].set_stalled(eng.now(), false, &mut w.mems[0], &mut outs);
             route(0, outs, eng);
         },
     );
@@ -357,7 +372,8 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     let mr = w.nics[1].register_mr(0x8000, 0x1000, Access::REMOTE_WRITE);
 
     // Break the WAIT engine.
-    let outs = w.nics[0].set_wait_stalled(eng.now(), true, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].set_wait_stalled(eng.now(), true, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
 
     // Chain on A: WAIT(cq_t >= 1) then an activated write of "chained".
@@ -386,7 +402,8 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp_a, chained, true)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
 
     // Plain write on B: still goes through and produces on cq_t.
@@ -404,7 +421,8 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     w.nics[0]
         .post_send(&mut w.mems[0], qp_b, plain, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), qp_b, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), qp_b, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -415,7 +433,8 @@ fn wait_stall_freezes_chains_but_not_plain_wqes() {
     assert_eq!(w.mems[1].read(0x8000, 7).unwrap(), &[0u8; 7]);
 
     // Repair the engine: the parked chain fires.
-    let outs = w.nics[0].set_wait_stalled(eng.now(), false, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].set_wait_stalled(eng.now(), false, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x8000, 7).unwrap(), b"chained");

@@ -50,10 +50,12 @@ fn route(nic_idx: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
                 packet,
             } => {
                 eng.schedule_at(at + LINK_LATENCY, move |w: &mut World, eng| {
-                    let outs = w.nics[dst_nic as usize].on_packet(
+                    let mut outs = Vec::new();
+                    w.nics[dst_nic as usize].on_packet(
                         eng.now(),
                         packet,
                         &mut w.mems[dst_nic as usize],
+                        &mut outs,
                     );
                     route(dst_nic as usize, outs, eng);
                 });
@@ -61,15 +63,27 @@ fn route(nic_idx: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
             NicOutput::Complete { at, cq, cqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
                     w.completions.push((eng.now(), nic_idx, cq, cqe));
-                    let outs =
-                        w.nics[nic_idx].deliver_cqe(eng.now(), cq, cqe, &mut w.mems[nic_idx]);
+                    let mut outs = Vec::new();
+                    w.nics[nic_idx].deliver_cqe(
+                        eng.now(),
+                        cq,
+                        cqe,
+                        &mut w.mems[nic_idx],
+                        &mut outs,
+                    );
                     route(nic_idx, outs, eng);
                 });
             }
             NicOutput::DoLocal { at, qpn, wqe } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs =
-                        w.nics[nic_idx].finish_local(eng.now(), qpn, wqe, &mut w.mems[nic_idx]);
+                    let mut outs = Vec::new();
+                    w.nics[nic_idx].finish_local(
+                        eng.now(),
+                        qpn,
+                        wqe,
+                        &mut w.mems[nic_idx],
+                        &mut outs,
+                    );
                     route(nic_idx, outs, eng);
                 });
             }
@@ -80,7 +94,8 @@ fn route(nic_idx: usize, outs: Vec<NicOutput>, eng: &mut Engine<World>) {
             }
             NicOutput::ArmTimer { at, qpn, gen } => {
                 eng.schedule_at(at, move |w: &mut World, eng| {
-                    let outs = w.nics[nic_idx].on_timer(eng.now(), qpn, gen, &mut w.mems[nic_idx]);
+                    let mut outs = Vec::new();
+                    w.nics[nic_idx].on_timer(eng.now(), qpn, gen, &mut w.mems[nic_idx], &mut outs);
                     route(nic_idx, outs, eng);
                 });
             }
@@ -151,7 +166,8 @@ fn write_lands_remotely_and_completes() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -186,7 +202,8 @@ fn write_without_permission_gets_error_cqe() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -233,7 +250,8 @@ fn send_scatters_into_multiple_targets() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -264,7 +282,8 @@ fn send_without_recv_is_rnr() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 0, p.scq_a);
@@ -307,7 +326,8 @@ fn read_fetches_and_fences() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, write, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -349,7 +369,8 @@ fn flush_makes_remote_data_durable() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, flush, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -385,7 +406,8 @@ fn cas_swaps_exactly_once() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, cas, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read_u64(0x1008).unwrap(), 77);
@@ -396,7 +418,8 @@ fn cas_swaps_exactly_once() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, cas2, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read_u64(0x1008).unwrap(), 77); // unchanged
@@ -423,7 +446,8 @@ fn deferred_wqe_waits_for_ownership() {
     let idx = w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, true)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     // Nothing executed: software still owns the descriptor.
@@ -431,7 +455,8 @@ fn deferred_wqe_waits_for_ownership() {
 
     // Grant ownership (the modified driver's late hand-off) and kick.
     w.nics[0].grant_ownership(&mut w.mems[0], p.qp_a, idx);
-    let outs = w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x1000, 8).unwrap(), b"deferred");
@@ -462,7 +487,8 @@ fn wrong_peer_is_refused() {
     w.nics[2]
         .post_send(&mut w.mems[2], rogue, wqe, false)
         .unwrap();
-    let outs = w.nics[2].ring_doorbell(SimTime::ZERO, rogue, &mut w.mems[2]);
+    let mut outs = Vec::new();
+    w.nics[2].ring_doorbell(SimTime::ZERO, rogue, &mut w.mems[2], &mut outs);
     route(2, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.mems[1].read(0x1000, 4).unwrap(), &[0; 4]);
@@ -511,7 +537,8 @@ fn cq_event_fires_when_armed() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, wqe, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(w.cq_events.len(), 1);
@@ -569,7 +596,8 @@ fn wait_chain_forwards_without_cpu() {
         .post_send(&mut w.mems[1], p12.qp_a, blank_write, true)
         .unwrap();
     // Doorbell arms the WAIT; it parks (nothing received yet).
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, p12.qp_a, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, p12.qp_a, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
 
     // The pre-posted RECV scatters incoming metadata INTO the blank
@@ -631,7 +659,8 @@ fn wait_chain_forwards_without_cpu() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, meta_send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
 
     eng.run(&mut w);
@@ -684,7 +713,8 @@ fn wait_triggers_local_copy() {
     let copy_idx = w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, copy, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
 
     let copy_slot = 0x30000 + (copy_idx % 16) * WQE_SIZE;
@@ -731,7 +761,8 @@ fn wait_triggers_local_copy() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -769,7 +800,8 @@ fn wait_count_semantics() {
     w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, nop, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
 
     for i in 0..2 {
@@ -792,7 +824,8 @@ fn wait_count_semantics() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     assert!(
@@ -804,7 +837,8 @@ fn wait_count_semantics() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(eng.now(), p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(eng.now(), p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 1, lcq);
@@ -848,7 +882,8 @@ fn cas_to_nop_conversion_keeps_chain_alive() {
     let cas_idx = w.nics[1]
         .post_send(&mut w.mems[1], loop_qp, cas, true)
         .unwrap();
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
 
     // RECV scatter rewrites the CAS opcode byte to NOP (execute map says
@@ -877,7 +912,8 @@ fn cas_to_nop_conversion_keeps_chain_alive() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -917,7 +953,8 @@ fn wait_activation_wraps_the_ring() {
             .post_send(&mut w.mems[1], loop_qp, nop, false)
             .unwrap();
     }
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
     eng.run(&mut w);
     assert_eq!(poll(&mut w, 1, lcq).len(), 3);
@@ -945,7 +982,8 @@ fn wait_activation_wraps_the_ring() {
             .post_send(&mut w.mems[1], loop_qp, nop, true)
             .unwrap();
     }
-    let outs = w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1]);
+    let mut outs = Vec::new();
+    w.nics[1].ring_doorbell(SimTime::ZERO, loop_qp, &mut w.mems[1], &mut outs);
     route(1, outs, &mut eng);
     eng.run(&mut w);
     assert!(poll(&mut w, 1, lcq).is_empty(), "parked before trigger");
@@ -968,7 +1006,8 @@ fn wait_activation_wraps_the_ring() {
     w.nics[0]
         .post_send(&mut w.mems[0], p01.qp_a, send, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p01.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -1012,7 +1051,8 @@ fn local_gather_fault_errors_qp_instead_of_panicking() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, trailing, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 
@@ -1034,7 +1074,8 @@ fn local_gather_fault_errors_qp_instead_of_panicking() {
     w.nics[0]
         .post_send(&mut w.mems[0], p.qp_a, late, false)
         .unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, p.qp_a, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
     let cqes = poll(&mut w, 0, p.scq_a);
@@ -1060,7 +1101,8 @@ fn send_on_unconnected_qp_errors_qp_instead_of_panicking() {
         ..Default::default()
     };
     w.nics[0].post_send(&mut w.mems[0], qp, wqe, false).unwrap();
-    let outs = w.nics[0].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[0]);
+    let mut outs = Vec::new();
+    w.nics[0].ring_doorbell(SimTime::ZERO, qp, &mut w.mems[0], &mut outs);
     route(0, outs, &mut eng);
     eng.run(&mut w);
 

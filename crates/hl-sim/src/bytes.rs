@@ -1,12 +1,14 @@
 //! Shared, immutable, reference-counted byte buffer for the zero-copy
 //! datapath.
 //!
-//! A gWRITE payload is gathered out of the source arena exactly once;
-//! from then on every place that used to `clone()` a `Vec<u8>` — the
-//! packet handed to the fabric, the requester's unacked retransmit
-//! list, the responder's duplicate-replay cache — clones a [`Bytes`],
-//! which bumps a refcount instead of copying the payload. The single
-//! real copy left on the receive side is the DMA into simulated NVM.
+//! A gWRITE payload is gathered out of the source arena exactly once,
+//! into a single `Rc<[u8]>` allocation (refcounts and bytes side by
+//! side, no separate `Vec` header); from then on every place that used
+//! to `clone()` a `Vec<u8>` — the packet handed to the fabric, the
+//! requester's unacked retransmit list, the responder's duplicate-replay
+//! cache — clones a [`Bytes`], which bumps a refcount instead of copying
+//! the payload. The single real copy left on the receive side is the DMA
+//! into simulated NVM.
 //!
 //! Backed by `Rc`, not `Arc`: each simulation is single-threaded by
 //! construction (the determinism contract), and the parallel campaign
@@ -18,32 +20,39 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 /// Cheaply clonable view of an immutable byte buffer.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    buf: Rc<Vec<u8>>,
+    buf: Rc<[u8]>,
     off: usize,
     len: usize,
 }
 
+impl Default for Bytes {
+    fn default() -> Self {
+        Self::copy_from_slice(&[])
+    }
+}
+
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Take ownership of `v` without copying it.
+    /// Move the bytes of `v` into a shared buffer (one copy, one
+    /// allocation; `v`'s own allocation is freed).
     pub fn from_vec(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            buf: Rc::new(v),
-            off: 0,
-            len,
-        }
+        Self::copy_from_slice(&v)
     }
 
-    /// Copy `s` into a fresh buffer.
+    /// Copy `s` into a fresh buffer: the one allocation a payload
+    /// costs.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Self::from_vec(s.to_vec())
+        Bytes {
+            buf: Rc::from(s),
+            off: 0,
+            len: s.len(),
+        }
     }
 
     /// Length of the view in bytes.
@@ -106,7 +115,7 @@ impl From<&[u8]> for Bytes {
 
 impl<const N: usize> From<[u8; N]> for Bytes {
     fn from(a: [u8; N]) -> Self {
-        Self::from_vec(a.to_vec())
+        Self::copy_from_slice(&a)
     }
 }
 

@@ -225,7 +225,7 @@ impl Process for NativePrimary {
                     );
                     // Ship the oplog; each send costs CPU.
                     let me = ctx.me;
-                    for &sec in self.secondaries.clone().iter() {
+                    for &sec in &self.secondaries {
                         ctx.submit_work(self.costs.send, u64::MAX - 1);
                         ctx.send_msg(
                             sec,

@@ -243,8 +243,7 @@ impl HyperLoopClient {
         // Local apply on the client's copy.
         let src = inner.client_rep.at(src_off);
         let dst = inner.client_rep.at(dst_off);
-        let bytes = w.host(ch).mem.read_vec(src, len as usize).unwrap();
-        w.host(ch).mem.write(dst, &bytes).unwrap();
+        w.host(ch).mem.copy(src, dst, len as usize).unwrap();
         if flush {
             w.host(ch).mem.flush(dst, len as usize).unwrap();
         }
@@ -397,8 +396,7 @@ fn dispatch_ack(group: &GroupRef, cqe: hl_rnic::Cqe, w: &mut World, eng: &mut En
     let ring = &inner.client_rings[p.prim.idx()];
     let ack_addr = ring.ack_buf.at((p.slot % slots) * 8 * g as u64);
     let ack_qp = ring.ack_qp;
-    let bytes = w.host(ch).mem.read_vec(ack_addr, 8 * g).unwrap();
-    let results = metadata::parse_results(&bytes, g);
+    let results = metadata::parse_results(w.host(ch).mem.read(ack_addr, 8 * g).unwrap(), g);
     // gCAS: merge the client's locally computed result (member 0) from
     // the staged message header (the ACK carries it too, since the tail
     // forwards the staged copy, so nothing to do).

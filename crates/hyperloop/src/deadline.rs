@@ -32,7 +32,7 @@ use crate::HyperLoopClient;
 use hl_cluster::World;
 use hl_fabric::HostId;
 use hl_nvm::Region;
-use hl_sim::{Bytes, Engine, SimDuration, SimTime};
+use hl_sim::{Bytes, Engine, EventToken, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -317,6 +317,10 @@ struct IssueState {
     op: GroupOp,
     done: Option<OnOutcome>,
     settled: bool,
+    /// The pending supervision event — the attempt deadline, or the
+    /// backoff before the next attempt — cancelled when the op settles
+    /// so it does not linger in the queue as a no-op.
+    timer: Option<EventToken>,
     issued_at: SimTime,
     outstanding: Rc<RefCell<u32>>,
     failures: Rc<RefCell<Vec<OpError>>>,
@@ -515,6 +519,7 @@ impl RetryClient {
             op,
             done: Some(done),
             settled: false,
+            timer: None,
             issued_at: eng.now(),
             outstanding: self.outstanding.clone(),
             failures: self.failures.clone(),
@@ -623,6 +628,9 @@ fn settle(
             return;
         }
         s.settled = true;
+        if let Some(tok) = s.timer.take() {
+            eng.cancel(tok);
+        }
         *s.outstanding.borrow_mut() -= 1;
         match &outcome {
             Ok(_) => {
@@ -753,7 +761,8 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
             policy.backoff_for(k)
         }
     };
-    eng.schedule(wait, move |w: &mut World, eng| {
+    let timer_st = st.clone();
+    let tok = eng.schedule(wait, move |w: &mut World, eng| {
         let (settled, attempts_left) = {
             let s = st.borrow();
             (s.settled, s.policy.max_attempts.saturating_sub(k + 1))
@@ -778,10 +787,13 @@ fn attempt(st: Rc<RefCell<IssueState>>, w: &mut World, eng: &mut Engine<World>, 
             return;
         }
         let backoff = st.borrow().policy.backoff_for(k);
-        eng.schedule(backoff, move |w: &mut World, eng| {
-            attempt(st, w, eng, k + 1);
+        let next = st.clone();
+        let tok = eng.schedule(backoff, move |w: &mut World, eng| {
+            attempt(next, w, eng, k + 1);
         });
+        st.borrow_mut().timer = Some(tok);
     });
+    timer_st.borrow_mut().timer = Some(tok);
 }
 
 /// Record an attempt-deadline expiry against the stall probe; fire the

@@ -536,10 +536,14 @@ impl GroupBuilder {
                     let ring = &inner.rep_rings[i][prim.idx()];
                     let (qn, ql) = (ring.qp_next, ring.qp_local);
                     let h = &mut w.hosts[rh.0];
-                    let outs = h.nic.ring_doorbell(SimTime::ZERO, qn, &mut h.mem);
+                    let mut outs = Vec::new();
+                    h.nic
+                        .ring_doorbell(SimTime::ZERO, qn, &mut h.mem, &mut outs);
                     debug_assert!(outs.is_empty(), "arming must only park WAITs");
                     if let Some(ql) = ql {
-                        let outs = h.nic.ring_doorbell(SimTime::ZERO, ql, &mut h.mem);
+                        let mut outs = Vec::new();
+                        h.nic
+                            .ring_doorbell(SimTime::ZERO, ql, &mut h.mem, &mut outs);
                         debug_assert!(outs.is_empty());
                     }
                 }
@@ -600,11 +604,14 @@ pub(crate) fn post_slot(inner: &mut GroupInner, w: &mut World, i: usize, prim: P
         .at((slot % slots) * 8 * g as u64);
 
     let host = &mut w.hosts[rh.0];
-    let mut scatter: Vec<ScatterEntry> = vec![ScatterEntry {
+    // Sized for the longest list below (a gMEMCPY tail slot: payload,
+    // 8 record fields, 2 ACK fields), so the pushes never reallocate.
+    let mut scatter: Vec<ScatterEntry> = Vec::with_capacity(11);
+    scatter.push(ScatterEntry {
         msg_off: 0,
         len: msg_len as u32,
         addr: staging_slot,
-    }];
+    });
 
     let se = |msg_off: u64, len: u64, addr: u64| ScatterEntry {
         msg_off: msg_off as u32,

@@ -340,7 +340,9 @@ impl MultiBuilder {
             };
             for (h, qp) in kicks {
                 let host = &mut w.hosts[h.0];
-                let outs = host.nic.ring_doorbell(SimTime::ZERO, qp, &mut host.mem);
+                let mut outs = Vec::new();
+                host.nic
+                    .ring_doorbell(SimTime::ZERO, qp, &mut host.mem, &mut outs);
                 debug_assert!(outs.is_empty());
             }
         }
@@ -368,11 +370,14 @@ fn post_multi_slot(inner: &mut MultiInner, w: &mut World, r: usize) {
         len: len as u32,
         addr,
     };
-    let mut scatter: Vec<ScatterEntry> = vec![ScatterEntry {
+    // Payload, then 6 record fields (forwarding) or 2 fields per
+    // client (tail).
+    let mut scatter: Vec<ScatterEntry> = Vec::with_capacity(1 + if is_tail { 2 * m } else { 6 });
+    scatter.push(ScatterEntry {
         msg_off: 0,
         len: msg_len as u32,
         addr: staging_slot,
-    }];
+    });
 
     if !is_tail {
         // Forwarding slot (consume-mode WAIT: single waiter per rcq).
@@ -732,10 +737,7 @@ impl hl_cluster::Process for MultiReplenisher {
                         (v, inner.replicas[0].slots_posted)
                     };
                     for (h, qp) in kicks {
-                        let now = ctx.now();
-                        let host = &mut ctx.world.hosts[h.0];
-                        let outs = host.nic.ring_doorbell(now, qp, &mut host.mem);
-                        hl_cluster::route_nic(h, outs, ctx.world, ctx.eng);
+                        ctx.world.ring_doorbell(h, qp, ctx.eng);
                     }
                     let rc = self.inner.clone();
                     ctx.eng
