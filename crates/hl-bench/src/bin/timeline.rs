@@ -10,21 +10,18 @@
 //!
 //! Writes `results/timeline_excursion.txt`,
 //! `results/timeseries_excursion.json`, `results/timeline_shards.txt`
-//! and `results/timeseries_shards.json`. `HL_TIMELINE_OPS` overrides
-//! the open-loop op count (CI uses a small value).
+//! and `results/timeseries_shards.json`. The excursion runs the same
+//! 500 ops as `gray_bench` (so both bins write the same
+//! `timeseries_excursion.json`); the shard timeline runs 600 ops per
+//! shard.
 
 use hl_bench::gray::run_excursion_case;
 use hl_bench::timeline::{run_shard_timeline, TimelineCfg};
 
 fn main() {
-    let ops: usize = std::env::var("HL_TIMELINE_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600);
-
     std::fs::create_dir_all("results").expect("create results/");
 
-    let exc = run_excursion_case(6006, ops.max(500));
+    let exc = run_excursion_case(6006, 500);
     println!("{}", exc.report);
     println!("{}", exc.timeline);
     let mut txt = String::new();
@@ -39,7 +36,7 @@ fn main() {
         .expect("write results/timeseries_excursion.csv");
 
     let cfg = TimelineCfg {
-        ops_per_shard: ops.max(300),
+        ops_per_shard: 600,
         ..Default::default()
     };
     let shard = run_shard_timeline(&cfg);

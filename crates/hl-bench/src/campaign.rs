@@ -1,16 +1,17 @@
-//! Campaign runner: fan chaos seeds (or any embarrassingly-parallel
-//! sweep points) across OS threads without giving up determinism.
+//! The chaos campaign: seeded fault schedules against the replicated
+//! chain, and a runner that fans seeds across OS threads without
+//! giving up determinism.
 //!
 //! Each simulated world is strictly single-threaded — that is the
 //! repo-wide determinism contract — so the unit of parallelism is a
-//! whole campaign: every worker thread builds its own cluster from its
-//! seed, runs it to quiescence, and returns plain strings. Workers
-//! claim seeds from a shared atomic counter (so a slow seed doesn't
-//! stall a static partition), and results are merged back in input
-//! order, which makes the parallel output byte-identical to the
-//! sequential one whatever the thread count or scheduling.
+//! whole campaign: [`ShardExecutor`] gives every seed its own cluster,
+//! runs it to quiescence on a worker thread, and merges the plain-string
+//! artifacts back in seed order, which makes the parallel output
+//! byte-identical to the sequential one whatever the thread count or
+//! scheduling.
 
 use hl_cluster::chaos::FaultSchedule;
+use hl_cluster::exec::ShardExecutor;
 use hl_cluster::{ClusterBuilder, World};
 use hl_fabric::HostId;
 use hl_sim::{Engine, SimDuration, SimTime};
@@ -21,7 +22,6 @@ use hyperloop::{
 };
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const N_RECORDS: usize = 24;
 const REC_BYTES: usize = 64;
@@ -37,8 +37,6 @@ pub struct CampaignArtifact {
     /// One-line-per-fact invariant report (acked/failed counts,
     /// reconvergence, settlement).
     pub invariants: String,
-    /// The filtered trace stream (`chaos`/`recovery`/`fault` systems).
-    pub trace: String,
     /// Chrome trace-event JSON export of the whole campaign.
     pub chrome_trace: String,
     /// Windowed time-series JSON snapshot (counters, sketches, marks).
@@ -148,17 +146,25 @@ fn arm_recovery(
 /// Run one chaos campaign to quiescence and reduce it to a
 /// [`CampaignArtifact`].
 ///
-/// This is the same 4-host campaign `tests/chaos.rs` asserts over (one
-/// durable record every 2ms across a seeded fault window, two detection
-/// paths, one standby), so the invariants it reports are the ones the
-/// tier-1 suite enforces. Panics if any invariant is violated — a bench
-/// sweep must not quietly average over broken campaigns.
+/// A 4-host cluster (client `h0`, chain `h1`-`h2`, standby `h3`) takes
+/// one durable record every 2ms through a deadline-supervised
+/// [`RetryClient`] while the seed's [`FaultSchedule`] replays. Two
+/// detection paths (heartbeat misses and transport-error CQEs) funnel
+/// into one rebuild per chain generation. `tests/chaos.rs` runs this
+/// campaign over 22 seeds. Panics if any invariant is violated — a
+/// bench sweep must not quietly average over broken campaigns:
+///
+/// 1. every supervised op settled, with an ACK or a typed error;
+/// 2. every ACKed record is byte-identical on the client copy and
+///    every member of the final chain;
+/// 3. an append issued after the fault window completes;
+/// 4. the race detector ([`World::race_report`], feature
+///    `check-ownership`) saw nothing.
 pub fn run_campaign(seed: u64) -> CampaignArtifact {
     let (mut w, mut eng) = ClusterBuilder::new(4)
         .arena_size(2 << 20)
         .seed(seed)
         .build();
-    w.tracer.enable(&["chaos", "recovery", "fault"]);
     w.enable_timeseries(SimDuration::from_millis(1));
 
     let group = GroupBuilder::new(GroupConfig {
@@ -246,17 +252,6 @@ pub fn run_campaign(seed: u64) -> CampaignArtifact {
     }
     eng.run_until(&mut w, SimTime::from_nanos(400_000_000));
 
-    // One pre-sized buffer instead of a `format!` String per entry —
-    // the trace is thousands of lines per seed.
-    let trace = {
-        use std::fmt::Write;
-        let entries = w.tracer.entries();
-        let mut out = String::with_capacity(entries.len() * 48);
-        for e in entries {
-            writeln!(out, "{} {} {}", e.at.as_nanos(), e.sys, e.msg).expect("string write");
-        }
-        out
-    };
     let now = eng.now();
     w.collect_metrics(now);
     let chrome_trace = w.telemetry.chrome_trace();
@@ -300,6 +295,12 @@ pub fn run_campaign(seed: u64) -> CampaignArtifact {
         }
         intact += 1;
     }
+    let races = w.race_report();
+    assert!(
+        races.is_empty(),
+        "seed {seed}: race detector flagged:\n{}",
+        races.join("\n")
+    );
 
     let invariants = format!(
         "seed {seed}\nacked {n_acked}/{N_RECORDS}\nfailed_ops {failed_ops}\n\
@@ -311,64 +312,9 @@ pub fn run_campaign(seed: u64) -> CampaignArtifact {
     CampaignArtifact {
         seed,
         invariants,
-        trace,
         chrome_trace,
         timeseries,
     }
-}
-
-/// Map `f` over `items` on `threads` OS threads, returning results in
-/// input order.
-///
-/// Workers claim indices from a shared atomic counter, so thread
-/// scheduling decides only *which thread* runs an item, never what the
-/// item computes (each campaign is a self-contained deterministic
-/// world) or where its result lands. With `threads <= 1` this is a
-/// plain sequential map.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    // The claim counter lives alone on its cache line so worker
-    // fetch_adds never false-share with the result slots below.
-    #[repr(align(64))]
-    struct PaddedCounter(AtomicUsize);
-    let next = PaddedCounter(AtomicUsize::new(0));
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.0.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        mine.push((i, f(&items[i])));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        // Merge by moving each result into its input-order slot — no
-        // clone, no sort.
-        for h in handles {
-            for (i, r) in h.join().expect("campaign worker panicked") {
-                debug_assert!(out[i].is_none(), "result slot claimed twice");
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every input index was claimed"))
-        .collect()
 }
 
 /// Run the chaos campaigns for `seeds` one after the other on this
@@ -378,8 +324,8 @@ pub fn run_campaigns_sequential(seeds: &[u64]) -> Vec<CampaignArtifact> {
 }
 
 /// Run the chaos campaigns for `seeds` fanned across `threads` OS
-/// threads. Output is byte-identical to
+/// threads by a [`ShardExecutor`]. Output is byte-identical to
 /// [`run_campaigns_sequential`] — same artifacts, same order.
 pub fn run_campaigns_parallel(seeds: &[u64], threads: usize) -> Vec<CampaignArtifact> {
-    parallel_map(seeds, threads, |&s| run_campaign(s))
+    ShardExecutor::new(threads).run(seeds.len(), |i| run_campaign(seeds[i]))
 }

@@ -1,7 +1,7 @@
 //! The parallel campaign runner must be a pure wall-clock optimisation:
 //! fanning seeds across OS threads may change *when* a campaign runs,
 //! never *what* it produces. For each seed, every artifact — invariant
-//! report, filtered trace stream, Chrome trace export — must be
+//! report, Chrome trace export, time-series snapshot — must be
 //! byte-identical to the sequential run, and the merge must preserve
 //! seed order.
 
@@ -11,9 +11,10 @@ use hl_bench::campaign::{run_campaigns_parallel, run_campaigns_sequential};
 fn parallel_campaigns_are_byte_identical_to_sequential() {
     let seeds = [103u64, 107, 111];
     let seq = run_campaigns_sequential(&seeds);
-    // Three real worker threads even on a single-core box: the atomic
-    // work-claiming makes seed->thread assignment nondeterministic,
-    // which is exactly what must not leak into the artifacts.
+    // Three real worker threads even on a single-core box: the
+    // executor's atomic work-claiming makes seed->thread assignment
+    // nondeterministic, which is exactly what must not leak into the
+    // artifacts.
     let par = run_campaigns_parallel(&seeds, 3);
 
     assert_eq!(seq.len(), seeds.len());
@@ -22,8 +23,8 @@ fn parallel_campaigns_are_byte_identical_to_sequential() {
         assert_eq!(a.seed, seed, "sequential results out of seed order");
         assert_eq!(b.seed, seed, "parallel merge broke seed order");
         assert!(
-            !a.trace.is_empty(),
-            "seed {seed}: no trace entries; byte-identity check is vacuous"
+            a.timeseries.contains("\"name\":\"fault:"),
+            "seed {seed}: no fault marks; byte-identity check is vacuous"
         );
         assert!(
             a.chrome_trace.starts_with("{\"traceEvents\":["),
@@ -33,10 +34,13 @@ fn parallel_campaigns_are_byte_identical_to_sequential() {
             a.invariants, b.invariants,
             "seed {seed}: invariant reports diverged"
         );
-        assert_eq!(a.trace, b.trace, "seed {seed}: trace streams diverged");
         assert_eq!(
             a.chrome_trace, b.chrome_trace,
             "seed {seed}: Chrome traces diverged"
+        );
+        assert_eq!(
+            a.timeseries, b.timeseries,
+            "seed {seed}: time-series snapshots diverged"
         );
     }
     assert_eq!(seq, par, "parallel artifacts differ from sequential");

@@ -393,7 +393,6 @@ impl FaultSchedule {
 }
 
 fn inject(kind: FaultKind, w: &mut World, eng: &mut Engine<World>) {
-    hl_sim::trace!(w.tracer, eng.now(), "chaos", "inject {kind}");
     let now = eng.now();
     w.telemetry.mark(now, format!("fault:{kind}"), 0);
     if w.telemetry.enabled() {
@@ -435,7 +434,6 @@ fn inject(kind: FaultKind, w: &mut World, eng: &mut Engine<World>) {
 }
 
 fn heal(kind: FaultKind, w: &mut World, eng: &mut Engine<World>) {
-    hl_sim::trace!(w.tracer, eng.now(), "chaos", "heal {kind}");
     let now = eng.now();
     w.telemetry.mark(now, format!("heal:{kind}"), 0);
     if w.telemetry.enabled() {

@@ -32,7 +32,7 @@ use hl_sim::config::HwProfile;
 use hl_sim::telemetry::Stage;
 use hl_sim::{
     Attribution, Engine, EventCtx, EventToken, RngFactory, RngStream, SimDuration, SimTime,
-    Telemetry, Tracer,
+    Telemetry,
 };
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -111,7 +111,7 @@ pub struct ProcAddr {
 
 /// Everything a [`Process`] may do while handling an event.
 pub struct Ctx<'a> {
-    /// The whole world (hosts, fabric, tracer).
+    /// The whole world (hosts, fabric, telemetry).
     pub world: &'a mut World,
     /// The event engine, for scheduling raw closures.
     pub eng: &'a mut Engine<World>,
@@ -203,8 +203,6 @@ pub struct World {
     pub hosts: Vec<Host>,
     /// The network.
     pub fabric: Fabric,
-    /// Trace buffer.
-    pub tracer: Tracer,
     /// Hardware profile used to build this world.
     pub profile: HwProfile,
     /// Random stream factory (seeded).
@@ -232,6 +230,8 @@ pub struct World {
     cqe_scratch: Vec<Cqe>,
     /// Catch-up copies started so far; names each copy's QP regions.
     catch_ups: u32,
+    /// Replication groups built so far; names each group's regions.
+    groups: u32,
     /// Spare output buffers for the NIC and CPU models. Routing
     /// re-enters the models while an outer buffer is still draining
     /// (CQ callbacks and process handlers run inside the drain), so
@@ -311,20 +311,11 @@ impl EventCtx for World {
             WorldEvent::FabricTx { src, dst, packet } => {
                 let size = packet.wire_size();
                 let draw = self.drop_rng.f64();
-                hl_sim::trace!(
-                    self.tracer,
-                    now,
-                    "fabric",
-                    "{src}->{dst} {size}B qp{}->qp{}",
-                    packet.src_qpn,
-                    packet.dst_qpn
-                );
                 match self.fabric.send(now, src, dst, size, draw) {
                     Delivery::At(arrive) => {
                         eng.schedule_event_at(arrive, WorldEvent::NicRx { dst, packet });
                     }
                     Delivery::Duplicated(arrive, again) => {
-                        hl_sim::trace!(self.tracer, now, "fabric", "{src}->{dst} DUPLICATED");
                         eng.schedule_event_at(
                             again,
                             WorldEvent::NicRx {
@@ -334,10 +325,7 @@ impl EventCtx for World {
                         );
                         eng.schedule_event_at(arrive, WorldEvent::NicRx { dst, packet });
                     }
-                    Delivery::Dropped => {
-                        hl_sim::trace!(self.tracer, now, "fabric", "{src}->{dst} DROPPED");
-                        self.dropped_packets += 1;
-                    }
+                    Delivery::Dropped => self.dropped_packets += 1,
                 }
             }
             WorldEvent::NicRx { dst, packet } => {
@@ -346,15 +334,6 @@ impl EventCtx for World {
                 });
             }
             WorldEvent::CqeDeliver { host, cq, cqe } => {
-                hl_sim::trace!(
-                    self.tracer,
-                    now,
-                    "rnic",
-                    "{host} cqe cq{cq} qp{} wr{} {:?}",
-                    cqe.qpn,
-                    cqe.wr_id,
-                    cqe.status
-                );
                 if cqe.status != hl_rnic::CqeStatus::Ok {
                     // Error CQEs are rare and always incident-relevant:
                     // snapshot in-flight state for the postmortem.
@@ -501,6 +480,14 @@ impl World {
         self.catch_ups - 1
     }
 
+    /// A fresh id for one replication group, unique within this world:
+    /// region names depend only on what this world built, never on
+    /// other worlds in the process.
+    pub fn next_group_id(&mut self) -> u32 {
+        self.groups += 1;
+        self.groups - 1
+    }
+
     /// Ring a doorbell from outside a process (drivers).
     pub fn ring_doorbell(&mut self, host: HostId, qpn: u32, eng: &mut Engine<World>) {
         let now = eng.now();
@@ -555,13 +542,6 @@ impl World {
     /// Routes the kick-outputs produced when the stall clears.
     pub fn set_nic_stalled(&mut self, host: HostId, on: bool, eng: &mut Engine<World>) {
         let now = eng.now();
-        hl_sim::trace!(
-            self.tracer,
-            now,
-            "fault",
-            "{host} nic {}",
-            if on { "STALL" } else { "unstall" }
-        );
         self.with_nic(host, eng, |h, out| {
             h.nic.set_stalled(now, on, &mut h.mem, out)
         });
@@ -570,7 +550,8 @@ impl World {
     /// One line per violation recorded by the race detector across
     /// every NIC, plus any FIFO-order violations from the fabric
     /// auditor, in host order (feature `check-ownership`). Empty means
-    /// the run was race-free.
+    /// the run was race-free; always empty without the feature, so
+    /// callers assert on it unconditionally.
     #[cfg(feature = "check-ownership")]
     pub fn race_report(&self) -> Vec<String> {
         let mut report = Vec::new();
@@ -591,17 +572,16 @@ impl World {
         report
     }
 
+    /// The race detector is compiled out: nothing to report.
+    #[cfg(not(feature = "check-ownership"))]
+    pub fn race_report(&self) -> Vec<String> {
+        Vec::new()
+    }
+
     /// Break or repair WAIT triggering on a host's NIC (fault injection:
     /// CORE-Direct offload malfunction; CPU-posted work still runs).
     pub fn set_nic_wait_stalled(&mut self, host: HostId, on: bool, eng: &mut Engine<World>) {
         let now = eng.now();
-        hl_sim::trace!(
-            self.tracer,
-            now,
-            "fault",
-            "{host} wait-engine {}",
-            if on { "STALL" } else { "unstall" }
-        );
         self.with_nic(host, eng, |h, out| {
             h.nic.set_wait_stalled(now, on, &mut h.mem, out)
         });
@@ -743,7 +723,6 @@ impl ClusterBuilder {
         let world = World {
             hosts,
             fabric,
-            tracer: Tracer::default(),
             drop_rng: rng.stream("fabric-drops"),
             rng,
             profile: self.profile,
@@ -755,6 +734,7 @@ impl ClusterBuilder {
             nic_event_scratch: Vec::new(),
             cqe_scratch: Vec::new(),
             catch_ups: 0,
+            groups: 0,
             nic_bufs: Vec::new(),
             cpu_bufs: Vec::new(),
         };

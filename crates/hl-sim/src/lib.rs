@@ -4,7 +4,7 @@
 //! event loop ([`Engine`]), simulated time ([`SimTime`], [`SimDuration`]),
 //! named reproducible random streams ([`RngFactory`]), HDR-style latency
 //! histograms ([`Histogram`]), calibrated hardware profiles
-//! ([`config::HwProfile`]) and a trace ring buffer ([`Tracer`]).
+//! ([`config::HwProfile`]) and causal telemetry ([`Telemetry`]).
 //!
 //! Everything above this crate (NVM, NIC, CPU, fabric models) is written
 //! as pure state machines advanced by events scheduled here; given the
@@ -21,7 +21,6 @@ mod stats;
 pub mod telemetry;
 mod time;
 pub mod timeseries;
-mod trace;
 
 pub use bytes::Bytes;
 pub use engine::{Engine, EventCtx, EventToken, Handler, NoEvent};
@@ -34,4 +33,3 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime};
 pub use timeseries::TimeSeries;
-pub use trace::{TraceEntry, Tracer};

@@ -1,8 +1,8 @@
 //! Structured, causal telemetry: op spans, per-hop latency attribution
 //! and a labelled metrics registry.
 //!
-//! The free-form [`crate::Tracer`] answers "what happened"; this module
-//! answers "where did the latency go". Every group primitive (and every
+//! This module answers "what happened" (fault, heal and recovery
+//! [`Mark`]s) and "where did the latency go". Every group primitive (and every
 //! naive-baseline op) allocates an **OpId** at issue time. The id rides
 //! inside WQE descriptors, fabric packets and CQEs, so each layer can
 //! stamp a typed [`Stage`] event onto the op without knowing anything

@@ -133,29 +133,19 @@ pub type FanoutRef = Rc<RefCell<FanoutInner>>;
 /// Builds the fan-out group and pre-posts every ring.
 pub struct FanoutBuilder {
     cfg: FanoutConfig,
-    gid: u32,
-}
-
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl FanoutBuilder {
     /// Start from a config.
     pub fn new(cfg: FanoutConfig) -> Self {
         assert!(!cfg.backups.is_empty(), "fan-out needs >= 1 backup");
-        FanoutBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        FanoutBuilder { cfg }
     }
 
     /// Allocate, wire and pre-post.
     pub fn build(self, w: &mut World) -> FanoutRef {
         let cfg = self.cfg;
-        let gid = self.gid;
+        let gid = w.next_group_id();
         let slots = cfg.ring_slots;
         // Metadata message reuses the chain layout: one record per
         // backup plus one for the primary (member count = backups + 2).

@@ -281,14 +281,6 @@ impl GroupInner {
 /// Builds a group: allocates regions, wires QPs, pre-posts all rings.
 pub struct GroupBuilder {
     cfg: GroupConfig,
-    gid: u32,
-}
-
-/// Monotonic group id for unique region names.
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl GroupBuilder {
@@ -296,17 +288,14 @@ impl GroupBuilder {
     pub fn new(cfg: GroupConfig) -> Self {
         assert!(!cfg.replicas.is_empty(), "a group needs >= 1 replica");
         assert!(cfg.ring_slots >= 4);
-        GroupBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        GroupBuilder { cfg }
     }
 
     /// Allocate, wire and pre-post everything. Setup is control-path and
     /// is not timed (the paper's CPUs also only initialize the group).
     pub fn build(self, w: &mut World) -> GroupRef {
         let cfg = self.cfg;
-        let gid = self.gid;
+        let gid = w.next_group_id();
         let g = cfg.replicas.len() + 1;
         let n = cfg.replicas.len();
         let msg_len = metadata::msg_len(g);

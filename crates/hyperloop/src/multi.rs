@@ -119,13 +119,6 @@ pub type MultiRef = Rc<RefCell<MultiInner>>;
 /// Builds the multi-client chain.
 pub struct MultiBuilder {
     cfg: MultiConfig,
-    gid: u32,
-}
-
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl MultiBuilder {
@@ -136,16 +129,13 @@ impl MultiBuilder {
             cfg.clients.len() <= 16,
             "select section sized for <= 16 clients"
         );
-        MultiBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        MultiBuilder { cfg }
     }
 
     /// Allocate, wire and pre-post.
     pub fn build(self, w: &mut World) -> MultiRef {
         let cfg = self.cfg;
-        let gid = self.gid;
+        let gid = w.next_group_id();
         let slots = cfg.ring_slots;
         let m = cfg.clients.len();
         let n = cfg.replicas.len();

@@ -176,29 +176,19 @@ impl NaiveInner {
 /// Builds the naïve chain and starts replica processes.
 pub struct NaiveBuilder {
     cfg: NaiveConfig,
-    gid: u32,
-}
-
-fn next_gid() -> u32 {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static GID: AtomicU32 = AtomicU32::new(0);
-    GID.fetch_add(1, Ordering::Relaxed)
 }
 
 impl NaiveBuilder {
     /// Start from a config.
     pub fn new(cfg: NaiveConfig) -> Self {
         assert!(!cfg.replicas.is_empty());
-        NaiveBuilder {
-            cfg,
-            gid: next_gid(),
-        }
+        NaiveBuilder { cfg }
     }
 
     /// Allocate, wire, pre-post, and start the replica processes.
     pub fn build(self, w: &mut World, eng: &mut Engine<World>) -> NaiveClient {
         let cfg = self.cfg;
-        let gid = self.gid;
+        let gid = w.next_group_id();
         let n = cfg.replicas.len();
         let g = n + 1;
         let dlen = desc_len(g);

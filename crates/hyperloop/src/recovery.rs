@@ -420,19 +420,11 @@ pub fn rebuild_on_cq_error(
     watch_transport_errors(
         group,
         w,
-        Box::new(move |w, eng, cqe| {
+        Box::new(move |w, eng, _cqe| {
             if std::mem::replace(&mut *latch.borrow_mut(), true) {
                 return;
             }
             g.borrow_mut().paused = true;
-            hl_sim::trace!(
-                w.tracer,
-                eng.now(),
-                "recovery",
-                "transport error {:?} on client qp{}: rebuilding chain",
-                cqe.status,
-                cqe.qpn
-            );
             if let Some(done) = done.borrow_mut().take() {
                 rebuild_chain(w, eng, &g, survivors.clone(), new_member, ring_slots, done);
             }
@@ -462,13 +454,6 @@ pub fn degrade_to_naive(
         let g = group.borrow();
         (g.cfg.clone(), g.client_rep.clone())
     };
-    hl_sim::trace!(
-        w.tracer,
-        eng.now(),
-        "recovery",
-        "degrading to naive-CPU forwarding over {} replicas",
-        cfg.replicas.len()
-    );
     let now = eng.now();
     w.telemetry
         .mark(now, "recovery:degrade-naive", cfg.client.0);

@@ -351,14 +351,10 @@ fn fresh_world(n_hosts: usize) -> (World, Engine<World>) {
     (w, eng)
 }
 
-#[cfg(feature = "check-ownership")]
 fn assert_race_free(w: &World, which: &str) {
     let report = w.race_report();
     assert!(report.is_empty(), "{which}: WQE/DMA races: {report:?}");
 }
-
-#[cfg(not(feature = "check-ownership"))]
-fn assert_race_free(_w: &World, _which: &str) {}
 
 /// The disjoint two-shard placement both sharded worlds use.
 fn two_shard_plan() -> ShardPlan {

@@ -726,7 +726,6 @@ fn nic_stall_probe_detects_and_recovers() {
 /// schedule + health monitor + open-loop writes, full telemetry on.
 fn gray_campaign(seed: u64) -> (String, String, String, usize) {
     let (mut w, mut eng, group, retry) = build_offloaded(seed);
-    w.tracer.enable(&["chaos", "recovery", "fault"]);
     w.enable_timeseries(SimDuration::from_millis(1));
     let monitor = HealthMonitor::start(
         retry.clone(),

@@ -323,10 +323,7 @@ fn run_campaign(
         })
         .collect();
 
-    #[cfg(feature = "check-ownership")]
     let race = w.race_report();
-    #[cfg(not(feature = "check-ownership"))]
-    let race = Vec::new();
 
     let (did_migrate, did_merge) = (*migrated.borrow(), *merged.borrow());
     let acked = acked.borrow().clone();

@@ -457,15 +457,12 @@ fn assert_isolation(seed: u64) {
         .assert_identical_to(&control.shards[BYSTANDER].probe, "shard-chaos");
 
     // Race-freedom under the ownership/DMA detector.
-    #[cfg(feature = "check-ownership")]
-    {
-        let report = faulted.w.race_report();
-        assert!(
-            report.is_empty(),
-            "seed {seed}: race detector flagged:\n{}",
-            report.join("\n")
-        );
-    }
+    let report = faulted.w.race_report();
+    assert!(
+        report.is_empty(),
+        "seed {seed}: race detector flagged:\n{}",
+        report.join("\n")
+    );
 }
 
 macro_rules! shard_chaos_campaigns {
@@ -517,7 +514,6 @@ fn victim_shard_permanent_fault_rebuilds_only_its_group() {
     b.probe
         .assert_identical_to(&control.shards[BYSTANDER].probe, "permanent-fault");
 
-    #[cfg(feature = "check-ownership")]
     assert!(faulted.w.race_report().is_empty());
 }
 
